@@ -1,15 +1,13 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
-#include "fault/json.hpp"
+#include "util/json.hpp"
 
 namespace midrr::fault {
 
@@ -87,44 +85,15 @@ double number_field(const JsonValue& obj, std::size_t index,
   }
 }
 
-/// Shortest representation that strtod round-trips to the same double.
-std::string number_str(double v) {
-  char buf[64];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-/// Nanoseconds as milliseconds: integral values without a decimal point so
-/// hand-written plans ("at_ms": 100) survive a round trip byte-identical.
+/// Nanoseconds as milliseconds: integral values as integers so
+/// hand-written plans ("at_ms": 100) survive a round trip, where the
+/// shortest double form could switch to an exponent ("1e+05").
 /// Fractional values print shortest-round-trip; ms_to_ns recovers the
 /// exact nanosecond count because the absolute error of ns/1e6*1e6 is far
 /// below the +0.5 rounding slack for any ns < 2^51.
-std::string ms_str(SimDuration ns) {
-  if (ns % 1'000'000 == 0) return std::to_string(ns / 1'000'000);
-  return number_str(static_cast<double>(ns) / 1e6);
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+JsonWriter& ms_field(JsonWriter& w, const char* key, SimDuration ns) {
+  if (ns % 1'000'000 == 0) return w.field(key, ns / 1'000'000);
+  return w.field(key, static_cast<double>(ns) / 1e6);
 }
 
 }  // namespace
@@ -285,60 +254,51 @@ std::string FaultPlan::to_json() const {
                    [](const ObservedNote& a, const ObservedNote& b) {
                      return a.at_ns < b.at_ns;
                    });
-  std::ostringstream out;
-  out << "{\n  \"seed\": " << seed << ",\n  \"events\": [";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const FaultEvent& e = sorted[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"at_ms\": " << ms_str(e.at_ns)
-        << ", \"kind\": \"" << to_string(e.kind) << '"';
+  JsonWriter w;
+  w.begin_object().field("seed", seed).key("events").begin_array();
+  for (const FaultEvent& e : sorted) {
+    ms_field(w.begin_object(), "at_ms", e.at_ns)
+        .field("kind", to_string(e.kind));
     switch (e.kind) {
       case FaultKind::kIfaceDown:
       case FaultKind::kIfaceUp:
-        out << ", \"iface\": " << e.iface;
+        w.field("iface", e.iface);
         break;
       case FaultKind::kIfaceFlap:
-        out << ", \"iface\": " << e.iface
-            << ", \"period_ms\": " << ms_str(e.period_ns)
-            << ", \"duty\": " << number_str(e.duty)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        ms_field(w.field("iface", e.iface), "period_ms", e.period_ns)
+            .field("duty", e.duty);
         break;
       case FaultKind::kIfaceScale:
-        out << ", \"iface\": " << e.iface
-            << ", \"scale\": " << number_str(e.scale)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        w.field("iface", e.iface).field("scale", e.scale);
         break;
       case FaultKind::kWorkerStall:
-        out << ", \"worker\": " << e.worker
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        w.field("worker", e.worker);
         break;
       case FaultKind::kIngressDrop:
       case FaultKind::kIngressDup:
-        out << ", \"probability\": " << number_str(e.probability)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        w.field("probability", e.probability);
         break;
       case FaultKind::kIngressDelay:
-        out << ", \"probability\": " << number_str(e.probability)
-            << ", \"delay_ms\": " << ms_str(e.delay_ns)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        ms_field(w.field("probability", e.probability), "delay_ms", e.delay_ns);
         break;
       case FaultKind::kPoolExhaust:
-        out << ", \"duration_ms\": " << ms_str(e.duration_ns);
         break;
     }
-    out << '}';
-  }
-  out << (sorted.empty() ? "]" : "\n  ]");
-  if (!notes.empty()) {
-    out << ",\n  \"observed\": [";
-    for (std::size_t i = 0; i < notes.size(); ++i) {
-      out << (i == 0 ? "\n" : ",\n") << "    {\"at_ms\": "
-          << ms_str(notes[i].at_ns) << ", \"note\": \""
-          << json_escaped(notes[i].note) << "\"}";
+    if (e.kind != FaultKind::kIfaceDown && e.kind != FaultKind::kIfaceUp) {
+      ms_field(w, "duration_ms", e.duration_ns);
     }
-    out << "\n  ]";
+    w.end_object();
   }
-  out << "\n}\n";
-  return out.str();
+  w.end_array();
+  if (!notes.empty()) {
+    w.key("observed").begin_array();
+    for (const ObservedNote& n : notes) {
+      ms_field(w.begin_object(), "at_ms", n.at_ns).field("note", n.note);
+      w.end_object();
+    }
+    w.end_array();
+  }
+  return w.end_object().str();
 }
 
 void FaultPlan::write_file(const std::string& path) const {
@@ -346,7 +306,7 @@ void FaultPlan::write_file(const std::string& path) const {
   if (!out) {
     throw std::runtime_error("fault plan: cannot write " + path);
   }
-  out << to_json();
+  out << to_json() << '\n';
   if (!out.flush()) {
     throw std::runtime_error("fault plan: write failed for " + path);
   }

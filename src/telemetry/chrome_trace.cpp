@@ -1,8 +1,8 @@
 #include "telemetry/chrome_trace.hpp"
 
-#include <cstdio>
 #include <ostream>
-#include <sstream>
+
+#include "util/json.hpp"
 
 namespace midrr::telemetry {
 
@@ -11,46 +11,22 @@ namespace {
 /// SimTime ns -> trace-format microseconds, preserving sub-us precision.
 double us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
 
-std::string escape_json(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void ChromeTraceBuilder::thread_name(std::uint32_t pid, std::uint32_t tid,
                                      const std::string& name) {
-  std::ostringstream e;
-  e << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-    << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << escape_json(name)
-    << "\"}}";
-  events_.push_back(e.str());
+  JsonWriter e;
+  e.begin_object().field("name", "thread_name").field("ph", "M");
+  e.field("pid", pid).field("tid", tid).key("args").begin_object();
+  events_.push_back(e.field("name", name).end_object().end_object().str());
 }
 
 void ChromeTraceBuilder::set_process_name(std::uint32_t pid,
                                           const std::string& name) {
-  std::ostringstream e;
-  e << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-    << ",\"args\":{\"name\":\"" << escape_json(name) << "\"}}";
-  events_.push_back(e.str());
+  JsonWriter e;
+  e.begin_object().field("name", "process_name").field("ph", "M");
+  e.field("pid", pid).key("args").begin_object().field("name", name);
+  events_.push_back(e.end_object().end_object().str());
 }
 
 void ChromeTraceBuilder::add_recorder(const TraceRecorder& recorder,
@@ -78,34 +54,36 @@ void ChromeTraceBuilder::add_recorder(const TraceRecorder& recorder,
         named[entry.iface] = true;
       }
     }
-    std::ostringstream e;
-    e << "{\"name\":\"" << to_string(entry.event) << " flow" << entry.flow
-      << "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-      << us(entry.at) << ",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"args\":{\"flow\":" << entry.flow;
+    JsonWriter e;
+    e.begin_object()
+        .field("name", std::string(to_string(entry.event)) + " flow" +
+                           std::to_string(entry.flow))
+        .field("cat", "sched").field("ph", "i").field("s", "t");
+    e.field("ts", us(entry.at)).field("pid", pid).field("tid", tid);
+    e.key("args").begin_object().field("flow", entry.flow);
     if (entry.event == TraceRecorder::Event::kGrant) {
-      e << ",\"deficit_after\":" << entry.value;
+      e.field("deficit_after", entry.value);
     } else if (entry.event == TraceRecorder::Event::kSend) {
-      e << ",\"bytes\":" << entry.value;
+      e.field("bytes", entry.value);
     }
-    e << "}}";
-    events_.push_back(e.str());
+    events_.push_back(e.end_object().end_object().str());
   }
   if (recorder.overflowed() > 0) {
     // The metadata record survives for tooling, but viewers do not render
     // "ph":"M" on the timeline -- a truncated capture used to look merely
     // sparse.  The global instant below puts a visible marker at the time
     // of the last retained event, where the missing history would end.
-    std::ostringstream meta;
-    meta << "{\"name\":\"trace_truncated\",\"ph\":\"M\",\"pid\":" << pid
-         << ",\"args\":{\"events_lost\":" << recorder.overflowed() << "}}";
-    events_.push_back(meta.str());
-    std::ostringstream e;
-    e << "{\"name\":\"trace_overflow\",\"cat\":\"sched\",\"ph\":\"i\","
-      << "\"s\":\"g\",\"ts\":" << us(last_at) << ",\"pid\":" << pid
-      << ",\"tid\":0,\"args\":{\"events_lost\":" << recorder.overflowed()
-      << "}}";
-    events_.push_back(e.str());
+    JsonWriter meta;
+    meta.begin_object().field("name", "trace_truncated").field("ph", "M");
+    meta.field("pid", pid).key("args").begin_object();
+    meta.field("events_lost", recorder.overflowed()).end_object();
+    events_.push_back(meta.end_object().str());
+    JsonWriter e;
+    e.begin_object().field("name", "trace_overflow").field("cat", "sched");
+    e.field("ph", "i").field("s", "g").field("ts", us(last_at));
+    e.field("pid", pid).field("tid", 0).key("args").begin_object();
+    e.field("events_lost", recorder.overflowed()).end_object();
+    events_.push_back(e.end_object().str());
   }
 }
 
@@ -118,57 +96,51 @@ void ChromeTraceBuilder::add_spans(const std::vector<TraceSpan>& spans,
       thread_name(pid, span.worker, "worker " + std::to_string(span.worker));
       named[span.worker] = true;
     }
-    std::ostringstream e;
+    const bool fan_in = span.kind == TraceSpan::Kind::kFanIn;
     const double dur = us(span.end_ns - span.begin_ns);
-    e << "{\"name\":\"";
-    if (span.kind == TraceSpan::Kind::kFanIn) {
-      e << "fan-in shard" << span.shard;
+    JsonWriter e;
+    e.begin_object()
+        .field("name", fan_in ? "fan-in shard" + std::to_string(span.shard)
+                              : "drain if" + std::to_string(span.iface))
+        .field("cat", "runtime").field("ph", "X");
+    e.field("ts", us(span.begin_ns)).field("dur", dur > 0 ? dur : 0.001);
+    e.field("pid", pid).field("tid", span.worker).key("args").begin_object();
+    e.field("packets", span.packets).field("bytes", span.bytes);
+    if (fan_in) {
+      e.field("shard", span.shard);
     } else {
-      e << "drain if" << span.iface;
+      e.field("iface", span.iface);
     }
-    e << "\",\"cat\":\"runtime\",\"ph\":\"X\",\"ts\":" << us(span.begin_ns)
-      << ",\"dur\":" << (dur > 0 ? dur : 0.001) << ",\"pid\":" << pid
-      << ",\"tid\":" << span.worker << ",\"args\":{\"packets\":"
-      << span.packets << ",\"bytes\":" << span.bytes;
-    if (span.kind == TraceSpan::Kind::kFanIn) {
-      e << ",\"shard\":" << span.shard;
-    } else {
-      e << ",\"iface\":" << span.iface;
-    }
-    e << "}}";
-    events_.push_back(e.str());
+    events_.push_back(e.end_object().end_object().str());
   }
 }
 
 void ChromeTraceBuilder::add_counter(std::uint32_t pid, const std::string& name,
                                      SimTime at, double value) {
-  std::ostringstream e;
-  e << "{\"name\":\"" << escape_json(name) << "\",\"ph\":\"C\",\"ts\":"
-    << us(at) << ",\"pid\":" << pid << ",\"args\":{\"value\":" << value
-    << "}}";
-  events_.push_back(e.str());
+  JsonWriter e;
+  e.begin_object().field("name", name).field("ph", "C").field("ts", us(at));
+  e.field("pid", pid).key("args").begin_object().field("value", value);
+  events_.push_back(e.end_object().end_object().str());
 }
 
 void ChromeTraceBuilder::add_instant(std::uint32_t pid, std::uint32_t tid,
                                      const std::string& name, SimTime at) {
-  std::ostringstream e;
-  e << "{\"name\":\"" << escape_json(name)
-    << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"ts\":" << us(at)
-    << ",\"pid\":" << pid << ",\"tid\":" << tid << "}";
-  events_.push_back(e.str());
+  JsonWriter e;
+  e.begin_object().field("name", name).field("cat", "fault").field("ph", "i");
+  e.field("s", "p").field("ts", us(at)).field("pid", pid).field("tid", tid);
+  events_.push_back(e.end_object().str());
 }
 
 std::string ChromeTraceBuilder::json() const {
-  std::string out = "{\"traceEvents\":[";
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '\n';
-    out += events_[i];
-  }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
+  for (const std::string& event : events_) w.raw(event);
+  w.end_array().field("displayTimeUnit", "ms");
+  return w.end_object().str();
 }
 
-void ChromeTraceBuilder::write(std::ostream& out) const { out << json(); }
+void ChromeTraceBuilder::write(std::ostream& out) const {
+  out << json() << '\n';
+}
 
 }  // namespace midrr::telemetry

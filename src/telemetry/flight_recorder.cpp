@@ -7,7 +7,8 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+
+#include "util/json.hpp"
 
 namespace midrr::telemetry {
 
@@ -104,25 +105,18 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
 
 std::string FlightRecorder::dump_json(const std::string& reason,
                                       std::uint64_t now_ns) const {
-  const std::vector<FlightEvent> events = snapshot();
-  std::ostringstream out;
-  out << "{\"reason\":\"" << reason << "\",\"dumped_at_ns\":" << now_ns
-      << ",\"writers\":[";
-  for (std::size_t i = 0; i < logs_.size(); ++i) {
-    if (i != 0) out << ',';
-    out << '"' << logs_[i]->name() << '"';
+  JsonWriter w;
+  w.begin_object().field("reason", reason).field("dumped_at_ns", now_ns);
+  w.key("writers").begin_array();
+  for (const auto& log : logs_) w.value(log->name());
+  w.end_array().key("events").begin_array();
+  for (const FlightEvent& e : snapshot()) {
+    w.begin_object().field("t_ns", e.t_ns);
+    w.field("writer", logs_[e.writer]->name());
+    w.field("category", to_string(e.category)).field("code", to_string(e.code));
+    w.field("a", e.a).field("b", e.b).end_object();
   }
-  out << "],\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& e = events[i];
-    if (i != 0) out << ',';
-    out << "\n{\"t_ns\":" << e.t_ns << ",\"writer\":\""
-        << logs_[e.writer]->name() << "\",\"category\":\""
-        << to_string(e.category) << "\",\"code\":\"" << to_string(e.code)
-        << "\",\"a\":" << e.a << ",\"b\":" << e.b << "}";
-  }
-  out << "\n]}\n";
-  return out.str();
+  return w.end_array().end_object().str();
 }
 
 bool FlightRecorder::dump_to_file(const std::string& path,
@@ -130,7 +124,7 @@ bool FlightRecorder::dump_to_file(const std::string& path,
                                   std::uint64_t now_ns) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << dump_json(reason, now_ns);
+  out << dump_json(reason, now_ns) << '\n';
   out.flush();
   if (!out) return false;
   dumps_.fetch_add(1, std::memory_order_relaxed);

@@ -1,9 +1,9 @@
 #include "telemetry/slo.hpp"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace midrr::telemetry {
 
@@ -152,22 +152,20 @@ void SloEngine::register_metrics(MetricsRegistry& registry,
 }
 
 std::string SloEngine::json(std::uint64_t now_ns) const {
-  std::ostringstream out;
-  out << "{\"error_budget\":" << options_.error_budget
-      << ",\"bucket_ns\":" << options_.bucket_ns << ",\"window_short_buckets\":"
-      << options_.short_window_buckets
-      << ",\"window_long_buckets\":" << options_.long_window_buckets
-      << ",\"slos\":[";
+  JsonWriter w;
+  w.begin_object().field("error_budget", options_.error_budget);
+  w.field("bucket_ns", options_.bucket_ns);
+  w.field("window_short_buckets", options_.short_window_buckets);
+  w.field("window_long_buckets", options_.long_window_buckets);
+  w.key("slos").begin_array();
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (i != 0) out << ',';
-    out << "\n{\"class\":\"" << specs_[i].class_name
-        << "\",\"p99_target_ns\":" << specs_[i].p99_target_ns
-        << ",\"samples\":" << samples(i) << ",\"violations\":" << violations(i)
-        << ",\"burn_short\":" << short_burn(i, now_ns)
-        << ",\"burn_long\":" << long_burn(i, now_ns) << "}";
+    w.begin_object().field("class", specs_[i].class_name);
+    w.field("p99_target_ns", specs_[i].p99_target_ns);
+    w.field("samples", samples(i)).field("violations", violations(i));
+    w.field("burn_short", short_burn(i, now_ns));
+    w.field("burn_long", long_burn(i, now_ns)).end_object();
   }
-  out << "\n]}";
-  return out.str();
+  return w.end_array().end_object().str();
 }
 
 }  // namespace midrr::telemetry

@@ -19,12 +19,12 @@
 #include "fault/adapt.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
-#include "fault/json.hpp"
 #include "fault/recorder.hpp"
 #include "fault/supervisor.hpp"
 #include "telemetry/fairness_drift.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
+#include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -39,7 +39,6 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using fault::FaultPlanRecorder;
 using fault::IngressAction;
-using fault::JsonValue;
 using fault::LinkState;
 using fault::Supervisor;
 using fault::SupervisorOptions;
@@ -65,14 +64,32 @@ TEST(FaultJson, ParsesNestedDocument) {
 }
 
 TEST(FaultJson, RejectsMalformedInput) {
-  EXPECT_THROW(JsonValue::parse("{\"a\": }"), fault::JsonError);
-  EXPECT_THROW(JsonValue::parse("{\"a\": 1} trailing"), fault::JsonError);
-  EXPECT_THROW(JsonValue::parse("[1, 2,"), fault::JsonError);
-  EXPECT_THROW(JsonValue::parse(""), fault::JsonError);
+  EXPECT_THROW(JsonValue::parse("{\"a\": }"), JsonError);
+  EXPECT_THROW(JsonValue::parse("{\"a\": 1} trailing"), JsonError);
+  EXPECT_THROW(JsonValue::parse("[1, 2,"), JsonError);
+  EXPECT_THROW(JsonValue::parse(""), JsonError);
   // Kind mismatches surface as runtime_error for schema-level reporting.
   const JsonValue doc = JsonValue::parse(R"({"a": 1})");
   EXPECT_THROW(doc.find("a")->as_string(), std::runtime_error);
   EXPECT_THROW((void)doc.as_array(), std::runtime_error);
+}
+
+// Regression: the reader recursed once per nesting level without a limit,
+// so 200 000 '[' overflowed the stack (SIGSEGV in midrr_rt --fault-plan).
+TEST(FaultJson, NestingPastTheLimitThrowsInsteadOfOverflowingTheStack) {
+  const std::string deep(200'000, '[');
+  EXPECT_THROW(JsonValue::parse(deep), JsonError);
+  EXPECT_THROW(FaultPlan::parse_json(deep), JsonError);
+  // 64 levels parse; the 65th opening bracket is the error, by offset.
+  EXPECT_NO_THROW(
+      JsonValue::parse(std::string(64, '[') + std::string(64, ']')));
+  try {
+    JsonValue::parse(std::string(65, '[') + std::string(65, ']'));
+    ADD_FAILURE() << "65 levels parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 64"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- FaultPlan parsing & validation ---------------------------------------
@@ -170,7 +187,7 @@ TEST(FaultPlanJson, RoundTripIsByteIdenticalForEveryKind) {
   EXPECT_EQ(reparsed.seed, 42u);
   // Integral millisecond timestamps print as integers, so a hand-written
   // plan's "at_ms": 500 survives the round trip verbatim.
-  EXPECT_NE(canonical.find("\"at_ms\": 500"), std::string::npos);
+  EXPECT_NE(canonical.find("\"at_ms\":500"), std::string::npos);
   EXPECT_EQ(canonical.find(".000000"), std::string::npos);
 }
 
@@ -182,7 +199,7 @@ TEST(FaultPlanJson, FractionalMillisecondsSurviveTheRoundTrip) {
   EXPECT_EQ(plan.events[0].duration_ns, 1500 * kMicrosecond);
   const std::string canonical = plan.to_json();
   EXPECT_EQ(FaultPlan::parse_json(canonical).to_json(), canonical);
-  EXPECT_NE(canonical.find("\"at_ms\": 0.25"), std::string::npos);
+  EXPECT_NE(canonical.find("\"at_ms\":0.25"), std::string::npos);
 }
 
 TEST(FaultPlanJson, ObservedNotesRoundTripAndStayReplayInert) {

@@ -12,14 +12,23 @@
 #include <vector>
 
 #include "telemetry/flight_recorder.hpp"
+#include "util/json.hpp"
 
 namespace {
 
+using midrr::JsonValue;
 using midrr::telemetry::FlightCategory;
 using midrr::telemetry::FlightCode;
 using midrr::telemetry::FlightEvent;
 using midrr::telemetry::FlightLog;
 using midrr::telemetry::FlightRecorder;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 TEST(FlightLog, RetainsOnlyTheLastCapacityEvents) {
   FlightRecorder recorder(/*per_writer_capacity=*/4);
@@ -61,21 +70,25 @@ TEST(FlightRecorder, DumpJsonCarriesReasonWritersAndEvents) {
   FlightRecorder recorder(8);
   FlightLog& log = recorder.add_writer("worker0");
   log.log(42, FlightCategory::kHealth, FlightCode::kHealthDegraded, 7, 9);
-  const std::string json = recorder.dump_json("unit test", 1000);
-  EXPECT_NE(json.find("\"reason\":\"unit test\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"dumped_at_ns\":1000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"worker0\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"health_degraded\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"t_ns\":42"), std::string::npos) << json;
+  const JsonValue doc = JsonValue::parse(recorder.dump_json("unit test", 1000));
+  EXPECT_EQ(doc.find("reason")->as_string(), "unit test");
+  EXPECT_EQ(doc.find("dumped_at_ns")->as_number(), 1000);
+  ASSERT_EQ(doc.find("writers")->as_array().size(), 1u);
+  EXPECT_EQ(doc.find("writers")->as_array()[0].as_string(), "worker0");
+  ASSERT_EQ(doc.find("events")->as_array().size(), 1u);
+  const JsonValue& event = doc.find("events")->as_array()[0];
+  EXPECT_EQ(event.find("t_ns")->as_number(), 42);
+  EXPECT_EQ(event.find("writer")->as_string(), "worker0");
+  EXPECT_EQ(event.find("category")->as_string(), "health");
+  EXPECT_EQ(event.find("code")->as_string(), "health_degraded");
+  EXPECT_EQ(event.find("a")->as_number(), 7);
+  EXPECT_EQ(event.find("b")->as_number(), 9);
 
   const std::string path = ::testing::TempDir() + "flight_dump_test.json";
   EXPECT_TRUE(recorder.dump_to_file(path, "to disk", 2000));
   EXPECT_EQ(recorder.dumps(), 1u);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"to disk\""), std::string::npos);
+  EXPECT_EQ(JsonValue::parse(read_file(path)).find("reason")->as_string(),
+            "to disk");
   std::remove(path.c_str());
   EXPECT_FALSE(recorder.dump_to_file("/nonexistent-dir/x.json", "r", 0));
 }
@@ -91,12 +104,10 @@ TEST(FlightRecorder, SignalDumpIsWrittenWithWriteOnly) {
   ASSERT_GE(fd, 0);
   recorder.write_signal_dump(fd, SIGSEGV);
   ::close(fd);
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string dump = buf.str();
-  EXPECT_NE(dump.find("\"signal\":11"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"t_ns\":7"), std::string::npos) << dump;
+  const JsonValue dump = JsonValue::parse(read_file(path));
+  EXPECT_EQ(dump.find("signal")->as_number(), 11);
+  ASSERT_EQ(dump.find("events")->as_array().size(), 1u);
+  EXPECT_EQ(dump.find("events")->as_array()[0].find("t_ns")->as_number(), 7);
   std::remove(path.c_str());
 }
 
@@ -115,11 +126,10 @@ TEST(FlightRecorderDeathTest, FatalSignalProducesPostMortem) {
       "");
   // The child died by the re-raised signal; its handler must have flushed
   // the post-mortem via write(2) before dying.
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "fatal dump missing at " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"t_ns\":123"), std::string::npos) << buf.str();
+  ASSERT_TRUE(std::ifstream(path).good()) << "fatal dump missing at " << path;
+  const JsonValue dump = JsonValue::parse(read_file(path));
+  ASSERT_EQ(dump.find("events")->as_array().size(), 1u);
+  EXPECT_EQ(dump.find("events")->as_array()[0].find("t_ns")->as_number(), 123);
   std::remove(path.c_str());
 }
 

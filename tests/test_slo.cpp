@@ -8,6 +8,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/slo.hpp"
+#include "util/json.hpp"
 namespace {
 
 constexpr std::uint64_t kMs = 1'000'000;
@@ -134,10 +135,13 @@ TEST(SloEngine, ExposesMetricsAndJson) {
   EXPECT_NE(page.find("midrr_slo_burn_rate{class=\"video\",window=\"short\"}"),
             std::string::npos)
       << page;
-  const std::string json = engine.json(0);
-  EXPECT_NE(json.find("\"class\":\"video\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99_target_ns\":5000000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"burn_short\":"), std::string::npos) << json;
+  const midrr::JsonValue doc = midrr::JsonValue::parse(engine.json(0));
+  ASSERT_EQ(doc.find("slos")->as_array().size(), 1u);
+  const midrr::JsonValue& slo = doc.find("slos")->as_array()[0];
+  EXPECT_EQ(slo.find("class")->as_string(), "video");
+  EXPECT_EQ(slo.find("p99_target_ns")->as_number(), 5e6);
+  EXPECT_EQ(slo.find("samples")->as_number(), 1);
+  EXPECT_GE(slo.find("burn_short")->as_number(), 0.0);
 }
 
 }  // namespace

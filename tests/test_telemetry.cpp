@@ -8,9 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/metrics_observer.hpp"
 #include "telemetry/prometheus.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace midrr::telemetry {
@@ -242,20 +245,18 @@ TEST(ChromeTrace, RendersRecorderAndSpans) {
   spans[0].packets = 3;
   spans[0].bytes = 2700;
   builder.add_spans(spans, 8);
-  const std::string json = builder.json();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << "instant events";
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << "duration spans";
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos) << "metadata";
-  EXPECT_NE(json.find("\"dur\":3"), std::string::npos) << "3000 ns = 3 us";
-  // Braces and brackets must balance (the file must parse as JSON).
-  long depth = 0;
-  for (const char ch : json) {
-    if (ch == '{' || ch == '[') ++depth;
-    if (ch == '}' || ch == ']') --depth;
-    ASSERT_GE(depth, 0);
+  const JsonValue doc = JsonValue::parse(builder.json());
+  std::map<std::string, int> by_phase;
+  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+    const std::string ph = event.find("ph")->as_string();
+    ++by_phase[ph];
+    if (ph == "X") {
+      EXPECT_EQ(event.find("dur")->as_number(), 3.0) << "3000 ns = 3 us";
+    }
   }
-  EXPECT_EQ(depth, 0);
+  EXPECT_GT(by_phase["i"], 0) << "instant events";
+  EXPECT_EQ(by_phase["X"], 1) << "duration spans";
+  EXPECT_GT(by_phase["M"], 0) << "metadata";
 }
 
 TEST(ChromeTrace, MarksTruncatedRecorders) {
@@ -505,10 +506,14 @@ TEST(FairnessDrift, LiveRuntimeStaysWithinTenPercentOfMaxMin) {
             std::string::npos);
 
   // /flows JSON joins the sample with the drift window.
-  const std::string json =
-      flows_json(runtime.fairness_sample(), sampler.last());
-  EXPECT_NE(json.find("\"name\":\"f0\""), std::string::npos);
-  EXPECT_NE(json.find("\"jain\""), std::string::npos);
+  const JsonValue doc =
+      JsonValue::parse(flows_json(runtime.fairness_sample(), sampler.last()));
+  ASSERT_NE(doc.find("jain"), nullptr);
+  EXPECT_GE(doc.find("jain")->as_number(), 0.0);
+  const auto& rows = doc.find("flows")->as_array();
+  EXPECT_TRUE(std::any_of(rows.begin(), rows.end(), [](const JsonValue& r) {
+    return r.find("name")->as_string() == "f0";
+  }));
 }
 
 TEST(FairnessDrift, AggregatedClassRowCarriesMemberCountAndPerMemberRate) {
@@ -562,9 +567,10 @@ TEST(FairnessDrift, AggregatedClassRowCarriesMemberCountAndPerMemberRate) {
   EXPECT_NE(text.find("midrr_fairness_rate_per_member_bps{flow=\"bundle\"}"),
             std::string::npos);
 
-  const std::string json =
-      flows_json(runtime.fairness_sample(), sampler.last());
-  EXPECT_NE(json.find("\"members\":4"), std::string::npos);
+  const JsonValue doc =
+      JsonValue::parse(flows_json(runtime.fairness_sample(), sampler.last()));
+  ASSERT_EQ(doc.find("flows")->as_array().size(), 1u);
+  EXPECT_EQ(doc.find("flows")->as_array()[0].find("members")->as_number(), 4);
 }
 
 TEST(RuntimeTelemetry, RegistersRuntimeSeriesAndCapturesTrace) {

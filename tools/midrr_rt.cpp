@@ -40,6 +40,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/stage_latency.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -121,6 +122,27 @@ int usage() {
          "  --trace-out F   capture scheduler events + worker spans, write\n"
          "                  Chrome trace-event JSON to F after the run\n";
   return 2;
+}
+
+/// The adaptive loop's state: the /adapt body and the report's "adapt".
+void write_adapt(midrr::JsonWriter& w,
+                 const midrr::fault::AdaptiveController& ad,
+                 const midrr::rt::Runtime& rt) {
+  w.begin_object().field("target_p99_ns", ad.target_p99_ns());
+  w.field("shed_bytes", rt.shed_bytes());
+  w.field("shedding_active", ad.shed_active());
+  w.field("windowed_p99_ns", ad.windowed_p99_ns());
+  w.field("correction", ad.correction()).field("updates", ad.updates());
+  w.field("retunes", ad.retunes()).field("shed_engages", ad.shed_engages());
+  w.field("droop_enters", ad.droop_enters());
+  w.field("droop_exits", ad.droop_exits()).key("ifaces").begin_array();
+  for (std::size_t j = 0; j < rt.iface_count(); ++j) {
+    const auto id = static_cast<midrr::IfaceId>(j);
+    w.begin_object().field("name", rt.iface_name(id));
+    w.field("drift_ratio", ad.drift_ratio(id));
+    w.field("drooped", ad.drooped(id)).end_object();
+  }
+  w.end_array().end_object();
 }
 
 }  // namespace
@@ -572,33 +594,22 @@ int main(int argc, char** argv) {
         r.content_type = "application/json";
         auto reader = control->reader();
         const auto guard = reader.lock();
-        std::ostringstream body;
-        body << "{\"classes\":" << guard->live.size()
-             << ",\"flows\":" << control->flow_count()
-             << ",\"version\":" << guard->version << ",\"rows\":[";
-        bool first = true;
+        JsonWriter w;
+        w.begin_object().field("classes", guard->live.size());
+        w.field("flows", control->flow_count());
+        w.field("version", guard->version).key("rows").begin_array();
         for (const ClassId id : guard->live) {
           const SnapshotClass& c = guard->classes[id];
-          if (!first) body << ',';
-          first = false;
-          body << "{\"id\":" << id << ",\"name\":\""
-               << (c.name.empty() ? "class" + std::to_string(id) : c.name)
-               << "\",\"weight\":" << c.weight
-               << ",\"members\":" << c.members << ",\"quarantined\":"
-               << (c.quarantined ? "true" : "false") << ",\"willing\":[";
-          for (std::size_t k = 0; k < c.willing.size(); ++k) {
-            if (k != 0) body << ',';
-            body << c.willing[k];
-          }
-          body << "],\"shards\":[";
-          for (std::size_t k = 0; k < c.shards.size(); ++k) {
-            if (k != 0) body << ',';
-            body << c.shards[k];
-          }
-          body << "]}";
+          w.begin_object().field("id", id).field(
+              "name", c.name.empty() ? "class" + std::to_string(id) : c.name);
+          w.field("weight", c.weight).field("members", c.members);
+          w.field("quarantined", c.quarantined).key("willing").begin_array();
+          for (const auto willing : c.willing) w.value(willing);
+          w.end_array().key("shards").begin_array();
+          for (const auto shard : c.shards) w.value(shard);
+          w.end_array().end_object();
         }
-        body << "]}";
-        r.body = body.str();
+        r.body = w.end_array().end_object().str();
         return r;
       });
       // Build facts plus the one runtime fact orchestrators ask for:
@@ -607,10 +618,9 @@ int main(int argc, char** argv) {
       server->handle("/buildinfo", [egress_label](const http::HttpRequest&) {
         telemetry::HandlerResult r;
         r.content_type = "application/json";
-        std::string body = telemetry::build_info_json();
-        body.insert(body.rfind('}'),
-                    ",\"egress\":\"" + egress_label + "\"");
-        r.body = body;
+        JsonWriter w;
+        telemetry::write_build_info(w.begin_object());
+        r.body = w.field("egress", egress_label).end_object().str();
         return r;
       });
       if (slo != nullptr) {
@@ -652,29 +662,9 @@ int main(int argc, char** argv) {
               }
             }
           }
-          std::ostringstream body;
-          body << "{\"target_p99_ns\":" << ad->target_p99_ns()
-               << ",\"shed_bytes\":" << rt3->shed_bytes()
-               << ",\"shedding_active\":"
-               << (ad->shed_active() ? "true" : "false")
-               << ",\"windowed_p99_ns\":" << ad->windowed_p99_ns()
-               << ",\"correction\":" << ad->correction()
-               << ",\"updates\":" << ad->updates()
-               << ",\"retunes\":" << ad->retunes()
-               << ",\"shed_engages\":" << ad->shed_engages()
-               << ",\"droop_enters\":" << ad->droop_enters()
-               << ",\"droop_exits\":" << ad->droop_exits()
-               << ",\"ifaces\":[";
-          for (std::size_t j = 0; j < rt3->iface_count(); ++j) {
-            const auto id = static_cast<IfaceId>(j);
-            if (j != 0) body << ',';
-            body << "{\"name\":\"" << rt3->iface_name(id)
-                 << "\",\"drift_ratio\":" << ad->drift_ratio(id)
-                 << ",\"drooped\":" << (ad->drooped(id) ? "true" : "false")
-                 << "}";
-          }
-          body << "]}";
-          r.body = body.str();
+          JsonWriter w;
+          write_adapt(w, *ad, *rt3);
+          r.body = w.str();
           return r;
         });
       }
@@ -837,41 +827,33 @@ int main(int argc, char** argv) {
         static_cast<double>(stats.dequeued_bytes) * 8.0 / elapsed / 1e9;
 
     if (json) {
-      std::ostringstream out;
-      out << "{"
-          << "\"policy\":\"" << to_string(policy) << "\","
-          << "\"flows\":" << flows << ","
-          << "\"flows_per_class\":" << flows_per_class << ","
-          << "\"classes\":" << runtime.control().class_count() << ","
-          << "\"ifaces\":" << ifaces << ","
-          << "\"workers\":" << workers << ","
-          << "\"shards\":" << shards << ","
-          << "\"producers\":" << producers << ","
-          << "\"duration_s\":" << elapsed << ","
-          << "\"offered\":" << stats.offered << ","
-          << "\"ring_rejects\":" << stats.ring_rejects << ","
-          << "\"enqueued\":" << stats.enqueued << ","
-          << "\"dequeued\":" << stats.dequeued << ","
-          << "\"dequeued_bytes\":" << stats.dequeued_bytes << ","
-          << "\"fanin_drops\":" << stats.fanin_drops << ","
-          << "\"tail_drops\":" << stats.tail_drops << ","
-          << "\"straggler_drops\":" << stats.straggler_drops << ","
-          << "\"shed_drops\":" << stats.shed_drops << ","
-          << "\"backpressure_rejects\":" << stats.backpressure_rejects << ","
-          << "\"quarantine_rejects\":" << stats.quarantine_rejects << ","
-          << "\"worker_restarts\":" << stats.worker_restarts << ","
-          << "\"churn_ops\":" << churn_ops << ","
-          << "\"metrics_series\":" << registry.series_count() << ","
-          << "\"egress\":{"
-          << "\"backend\":\"" << runtime.egress().name() << "\","
-          << "\"sent\":" << stats.sent << ","
-          << "\"sent_bytes\":" << stats.sent_bytes << ","
-          << "\"io_requeued\":" << stats.io_requeued << ","
-          << "\"io_drops\":" << stats.io_drops << ","
-          << "\"io_pending\":" << stats.io_pending << ","
-          << "\"io_inflight\":" << stats.io_inflight << ","
-          << "\"send_errors\":" << stats.io_send_errors << ","
-          << "\"syscalls\":" << stats.io_syscalls;
+      JsonWriter w;
+      w.begin_object().field("policy", to_string(policy));
+      w.field("flows", flows).field("flows_per_class", flows_per_class);
+      w.field("classes", runtime.control().class_count());
+      w.field("ifaces", ifaces).field("workers", workers);
+      w.field("shards", shards).field("producers", producers);
+      w.field("duration_s", elapsed).field("offered", stats.offered);
+      w.field("ring_rejects", stats.ring_rejects);
+      w.field("enqueued", stats.enqueued).field("dequeued", stats.dequeued);
+      w.field("dequeued_bytes", stats.dequeued_bytes);
+      w.field("fanin_drops", stats.fanin_drops);
+      w.field("tail_drops", stats.tail_drops);
+      w.field("straggler_drops", stats.straggler_drops);
+      w.field("shed_drops", stats.shed_drops);
+      w.field("backpressure_rejects", stats.backpressure_rejects);
+      w.field("quarantine_rejects", stats.quarantine_rejects);
+      w.field("worker_restarts", stats.worker_restarts);
+      w.field("churn_ops", churn_ops);
+      w.field("metrics_series", registry.series_count());
+      w.key("egress").begin_object();
+      w.field("backend", runtime.egress().name()).field("sent", stats.sent);
+      w.field("sent_bytes", stats.sent_bytes);
+      w.field("io_requeued", stats.io_requeued);
+      w.field("io_drops", stats.io_drops).field("io_pending", stats.io_pending);
+      w.field("io_inflight", stats.io_inflight);
+      w.field("send_errors", stats.io_send_errors);
+      w.field("syscalls", stats.io_syscalls);
       if (uring != nullptr) {
         std::uint64_t fixed = 0, fallback = 0, requeues = 0, shorts = 0;
         std::uint64_t notifs = 0, copied = 0;
@@ -884,20 +866,15 @@ int main(int argc, char** argv) {
           notifs += uring->zc_notifs(id);
           copied += uring->zc_copied(id);
         }
-        out << ",\"uring\":{"
-            << "\"zerocopy_active\":"
-            << (uring->zerocopy_active() ? "true" : "false") << ","
-            << "\"registered_buffers\":" << uring->registered_buffers() << ","
-            << "\"fixed_sends\":" << fixed << ","
-            << "\"fallback_sends\":" << fallback << ","
-            << "\"cqe_requeues\":" << requeues << ","
-            << "\"short_writes\":" << shorts << ","
-            << "\"zc_notifs\":" << notifs << ","
-            << "\"zc_copied\":" << copied << ","
-            << "\"cq_overflows\":" << uring->cq_overflows()
-            << "}";
+        w.key("uring").begin_object();
+        w.field("zerocopy_active", uring->zerocopy_active());
+        w.field("registered_buffers", uring->registered_buffers());
+        w.field("fixed_sends", fixed).field("fallback_sends", fallback);
+        w.field("cqe_requeues", requeues).field("short_writes", shorts);
+        w.field("zc_notifs", notifs).field("zc_copied", copied);
+        w.field("cq_overflows", uring->cq_overflows()).end_object();
       }
-      out << "},";
+      w.end_object();
       if (const telemetry::StageTracer* tracer = runtime.stage_tracer()) {
         LatencyHistogram merged[telemetry::kStageCount];
         LatencyHistogram e2e;
@@ -908,111 +885,73 @@ int main(int argc, char** argv) {
           }
           e2e.merge_from(tracer->e2e_grid(static_cast<IfaceId>(j)));
         }
-        out << "\"stage\":{"
-            << "\"sample_every\":" << tracer->sample_every() << ","
-            << "\"started\":" << tracer->started() << ","
-            << "\"completed\":" << tracer->completed() << ","
-            << "\"lost\":" << tracer->lost() << ","
-            << "\"dropped\":" << tracer->dropped() << ","
-            << "\"reconciliation_error\":" << tracer->reconciliation_error();
+        w.key("stage").begin_object();
+        w.field("sample_every", tracer->sample_every());
+        w.field("started", tracer->started());
+        w.field("completed", tracer->completed());
+        w.field("lost", tracer->lost()).field("dropped", tracer->dropped());
+        w.field("reconciliation_error", tracer->reconciliation_error());
         for (std::size_t st = 0; st < telemetry::kStageCount; ++st) {
-          const char* name =
+          const std::string name =
               telemetry::to_string(static_cast<telemetry::Stage>(st));
-          out << ",\"" << name << "_p50_ns\":" << merged[st].quantile(0.50)
-              << ",\"" << name << "_p99_ns\":" << merged[st].quantile(0.99);
+          w.field(name + "_p50_ns", merged[st].quantile(0.50));
+          w.field(name + "_p99_ns", merged[st].quantile(0.99));
         }
-        out << ",\"e2e_p50_ns\":" << e2e.quantile(0.50)
-            << ",\"e2e_p99_ns\":" << e2e.quantile(0.99)
-            << "},";
+        w.field("e2e_p50_ns", e2e.quantile(0.50));
+        w.field("e2e_p99_ns", e2e.quantile(0.99)).end_object();
       }
       if (slo != nullptr) {
-        out << "\"slo\":"
-            << slo->json(static_cast<std::uint64_t>(runtime.now_ns()))
-            << ",";
+        w.key("slo").raw(
+            slo->json(static_cast<std::uint64_t>(runtime.now_ns())));
       }
       if (flight != nullptr) {
-        out << "\"flight\":{"
-            << "\"events\":" << flight->events_logged() << ","
-            << "\"dumps\":" << flight->dumps() << ","
-            << "\"dump_path\":\"" << flight_dump << "\"},";
+        w.key("flight").begin_object();
+        w.field("events", flight->events_logged());
+        w.field("dumps", flight->dumps());
+        w.field("dump_path", flight_dump).end_object();
       }
       if (injector != nullptr) {
-        out << "\"fault\":{"
-            << "\"ingress_drops\":" << injector->ingress_drops() << ","
-            << "\"ingress_dups\":" << injector->ingress_dups() << ","
-            << "\"ingress_delays\":" << injector->ingress_delays() << ","
-            << "\"pool_rejects\":" << injector->pool_rejects() << ","
-            << "\"worker_stalls\":" << injector->stalls_entered() << ","
-            << "\"iface_transitions\":" << injector->iface_transitions()
-            << "},";
+        w.key("fault").begin_object();
+        w.field("ingress_drops", injector->ingress_drops());
+        w.field("ingress_dups", injector->ingress_dups());
+        w.field("ingress_delays", injector->ingress_delays());
+        w.field("pool_rejects", injector->pool_rejects());
+        w.field("worker_stalls", injector->stalls_entered());
+        w.field("iface_transitions", injector->iface_transitions());
+        w.end_object();
       }
       if (supervisor != nullptr) {
-        out << "\"supervisor\":{"
-            << "\"link_transitions\":" << supervisor->transitions() << ","
-            << "\"restarts_attempted\":" << supervisor->restarts_attempted()
-            << ","
-            << "\"restarts_succeeded\":" << supervisor->restarts_succeeded()
-            << ","
-            << "\"restarts_refused\":" << supervisor->restarts_refused() << ","
-            << "\"clustering_checks\":" << supervisor->clustering_checks()
-            << ","
-            << "\"clustering_violations\":"
-            << supervisor->clustering_violations() << ","
-            << "\"verdict_sequence\":[";
-        const std::vector<std::string> verdicts =
-            supervisor->verdict_sequence();
-        for (std::size_t i = 0; i < verdicts.size(); ++i) {
-          if (i != 0) out << ',';
-          out << '"' << verdicts[i] << '"';
+        w.key("supervisor").begin_object();
+        w.field("link_transitions", supervisor->transitions());
+        w.field("restarts_attempted", supervisor->restarts_attempted());
+        w.field("restarts_succeeded", supervisor->restarts_succeeded());
+        w.field("restarts_refused", supervisor->restarts_refused());
+        w.field("clustering_checks", supervisor->clustering_checks());
+        w.field("clustering_violations",
+                supervisor->clustering_violations());
+        w.key("verdict_sequence").begin_array();
+        for (const std::string& v : supervisor->verdict_sequence()) {
+          w.value(v);
         }
-        out << "]},";
+        w.end_array().end_object();
       }
-      if (adapt != nullptr) {
-        out << "\"adapt\":{"
-            << "\"target_p99_ns\":" << adapt->target_p99_ns() << ","
-            << "\"shed_bytes\":" << runtime.shed_bytes() << ","
-            << "\"shedding_active\":"
-            << (adapt->shed_active() ? "true" : "false") << ","
-            << "\"windowed_p99_ns\":" << adapt->windowed_p99_ns() << ","
-            << "\"correction\":" << adapt->correction() << ","
-            << "\"updates\":" << adapt->updates() << ","
-            << "\"retunes\":" << adapt->retunes() << ","
-            << "\"shed_engages\":" << adapt->shed_engages() << ","
-            << "\"droop_enters\":" << adapt->droop_enters() << ","
-            << "\"droop_exits\":" << adapt->droop_exits() << ","
-            << "\"drift\":[";
-        for (std::size_t j = 0; j < ifaces; ++j) {
-          const auto id = static_cast<IfaceId>(j);
-          if (j != 0) out << ',';
-          out << "{\"iface\":\"" << runtime.iface_name(id)
-              << "\",\"ratio\":" << adapt->drift_ratio(id)
-              << ",\"drooped\":" << (adapt->drooped(id) ? "true" : "false")
-              << "}";
-        }
-        out << "]},";
-      }
+      if (adapt != nullptr) write_adapt(w.key("adapt"), *adapt, runtime);
       if (pooled) {
-        out << "\"pool\":{"
-            << "\"slabs\":" << pool.slabs << ","
-            << "\"capacity_slots\":" << pool.capacity_slots << ","
-            << "\"acquired\":" << pool.acquired << ","
-            << "\"released\":" << pool.released << ","
-            << "\"outstanding\":" << pool.outstanding << ","
-            << "\"misses\":" << pool.misses << ","
-            << "\"cross_thread_returns\":" << pool.cross_thread_returns << ","
-            << "\"overflow_returns\":" << pool.overflow_returns
-            << "},";
+        w.key("pool").begin_object();
+        w.field("slabs", pool.slabs);
+        w.field("capacity_slots", pool.capacity_slots);
+        w.field("acquired", pool.acquired).field("released", pool.released);
+        w.field("outstanding", pool.outstanding).field("misses", pool.misses);
+        w.field("cross_thread_returns", pool.cross_thread_returns);
+        w.field("overflow_returns", pool.overflow_returns).end_object();
       }
-      out
-          << "\"pps\":" << pps << ","
-          << "\"gbps\":" << gbps_out << ","
-          << "\"latency_p50_ns\":" << stats.latency_p50_ns << ","
-          << "\"latency_p90_ns\":" << stats.latency_p90_ns << ","
-          << "\"latency_p99_ns\":" << stats.latency_p99_ns << ","
-          << "\"latency_p999_ns\":" << stats.latency_p999_ns << ","
-          << "\"latency_mean_ns\":" << stats.latency_mean_ns
-          << "}";
-      std::cout << out.str() << "\n";
+      w.field("pps", pps).field("gbps", gbps_out);
+      w.field("latency_p50_ns", stats.latency_p50_ns);
+      w.field("latency_p90_ns", stats.latency_p90_ns);
+      w.field("latency_p99_ns", stats.latency_p99_ns);
+      w.field("latency_p999_ns", stats.latency_p999_ns);
+      w.field("latency_mean_ns", stats.latency_mean_ns).end_object();
+      std::cout << w.str() << "\n";
     } else {
       std::cout << "midrr_rt: " << to_string(policy) << ", " << flows
                 << " flows in " << runtime.control().class_count()

@@ -34,7 +34,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,6 +41,7 @@
 #include "telemetry/build_info.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -312,45 +312,34 @@ int main(int argc, char** argv) {
   const double wire_p99_ns = traced > 0 ? wire_hist.quantile(0.99) : 0.0;
 
   if (json) {
-    std::ostringstream out;
-    out << "{"
-        << "\"ports\":" << ports << ","
-        << "\"base_port\":" << base_port << ","
-        << "\"duration_s\":" << elapsed << ","
-        << "\"datagrams\":" << total_datagrams << ","
-        << "\"wire_bytes\":" << wire << ","
-        << "\"credited_bytes\":" << credited << ","
-        << "\"parse_errors\":" << parse_errors << ","
-        << "\"gaps\":" << gaps << ","
-        << "\"reorders\":" << reorders << ","
-        << "\"traced_datagrams\":" << traced << ","
-        << "\"wire_p50_ns\":" << wire_p50_ns << ","
-        << "\"wire_p99_ns\":" << wire_p99_ns << ","
-        << "\"flows\":[";
-    bool first = true;
+    midrr::JsonWriter w;
+    w.begin_object().field("ports", ports).field("base_port", base_port);
+    w.field("duration_s", elapsed).field("datagrams", total_datagrams);
+    w.field("wire_bytes", wire).field("credited_bytes", credited);
+    w.field("parse_errors", parse_errors).field("gaps", gaps);
+    w.field("reorders", reorders).field("traced_datagrams", traced);
+    w.field("wire_p50_ns", wire_p50_ns).field("wire_p99_ns", wire_p99_ns);
+    w.key("flows").begin_array();
     for (const auto& [flow, tally] : by_flow) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"flow\":" << flow << ",\"datagrams\":" << tally.datagrams
-          << ",\"credited_bytes\":" << tally.credited_bytes
-          << ",\"wire_bytes\":" << tally.wire_bytes << "}";
+      w.begin_object().field("flow", flow);
+      w.field("datagrams", tally.datagrams);
+      w.field("credited_bytes", tally.credited_bytes);
+      w.field("wire_bytes", tally.wire_bytes).end_object();
     }
-    out << "],\"by_port\":[";
+    w.end_array().key("by_port").begin_array();
     for (std::size_t j = 0; j < ports; ++j) {
-      if (j != 0) out << ',';
       const PortTally& port = by_port[j];
-      out << "{\"port\":" << base_port + j << ",\"datagrams\":"
-          << port.datagrams.load(std::memory_order_relaxed)
-          << ",\"wire_bytes\":"
-          << port.wire_bytes.load(std::memory_order_relaxed)
-          << ",\"parse_errors\":"
-          << port.parse_errors.load(std::memory_order_relaxed)
-          << ",\"gaps\":" << port.gaps.load(std::memory_order_relaxed)
-          << ",\"reorders\":"
-          << port.reorders.load(std::memory_order_relaxed) << "}";
+      w.begin_object().field("port", base_port + j);
+      w.field("datagrams", port.datagrams.load(std::memory_order_relaxed));
+      w.field("wire_bytes", port.wire_bytes.load(std::memory_order_relaxed));
+      w.field("parse_errors",
+              port.parse_errors.load(std::memory_order_relaxed));
+      w.field("gaps", port.gaps.load(std::memory_order_relaxed));
+      w.field("reorders", port.reorders.load(std::memory_order_relaxed));
+      w.end_object();
     }
-    out << "]}";
-    std::cout << out.str() << "\n";
+    w.end_array().end_object();
+    std::cout << w.str() << "\n";
   } else {
     std::cout << "midrr_rx: " << total_datagrams << " datagrams / " << wire
               << " wire bytes on " << ports << " ports in " << elapsed
