@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -70,6 +71,15 @@ FieldSpec fields_for(FaultKind kind) {
   return {};
 }
 
+/// Upper bound of every *_ms field, about 11.6 days.  Nanosecond counts
+/// then stay below 2^51 (where the ms_field round trip is exact), and
+/// sums such as at_ns + duration_ns stay far inside SimTime.
+constexpr double kMaxMs = 1e9;
+/// Bounds of the integer fields, checked before their casts.
+constexpr double kMaxIface = static_cast<double>(kInvalidIface) - 1;
+constexpr double kMaxWorker = std::numeric_limits<std::uint32_t>::max();
+constexpr double kSeedLimit = 18446744073709551616.0;  // 2^64, exclusive
+
 SimDuration ms_to_ns(double ms) {
   return static_cast<SimDuration>(ms * 1e6 + 0.5);
 }
@@ -83,6 +93,29 @@ double number_field(const JsonValue& obj, std::size_t index,
   } catch (const std::exception&) {
     fail(index, "field \"" + key + "\" must be a number");
   }
+}
+
+/// `key`, a millisecond count in [0, kMaxMs] (> 0 unless `zero_ok`), in
+/// nanoseconds.
+SimDuration ms_field_ns(const JsonValue& obj, std::size_t index,
+                        const std::string& key, bool zero_ok) {
+  const double v = number_field(obj, index, key);
+  if (zero_ok ? v < 0 : v <= 0) {
+    fail(index, key + (zero_ok ? " must be >= 0" : " must be > 0"));
+  }
+  if (!(v <= kMaxMs)) fail(index, key + " must be <= 1e9 (about 11.6 days)");
+  return ms_to_ns(v);
+}
+
+/// `key` as a whole number in [0, max].
+double index_number(const JsonValue& obj, std::size_t index,
+                    const std::string& key, double max) {
+  const double v = number_field(obj, index, key);
+  if (!(v >= 0 && v <= max) || v != std::floor(v)) {
+    fail(index, key + " must be an index <= " +
+                    std::to_string(static_cast<std::uint64_t>(max)));
+  }
+  return v;
 }
 
 /// Nanoseconds as milliseconds: integral values as integers so
@@ -129,8 +162,9 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
   FaultPlan plan;
   if (const JsonValue* seed = doc.find("seed"); seed != nullptr) {
     const double s = seed->as_number();
-    if (s < 0 || s != std::floor(s)) {
-      throw std::runtime_error("fault plan: seed must be a whole number >= 0");
+    if (!(s >= 0 && s < kSeedLimit) || s != std::floor(s)) {
+      throw std::runtime_error(
+          "fault plan: seed must be a whole number in [0, 2^64)");
     }
     plan.seed = static_cast<std::uint64_t>(s);
   }
@@ -153,9 +187,7 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
                         to_string(e.kind));
       }
     }
-    const double at_ms = number_field(entry, index, "at_ms");
-    if (at_ms < 0) fail(index, "at_ms must be >= 0");
-    e.at_ns = ms_to_ns(at_ms);
+    e.at_ns = ms_field_ns(entry, index, "at_ms", true);
     for (const std::string& key : spec.required) {
       if (entry.find(key) == nullptr) {
         fail(index, std::string("kind ") + to_string(e.kind) +
@@ -163,29 +195,21 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
       }
     }
     if (entry.find("iface") != nullptr) {
-      const double v = number_field(entry, index, "iface");
-      if (v < 0 || v != std::floor(v)) fail(index, "iface must be an index");
-      e.iface = static_cast<IfaceId>(v);
+      e.iface =
+          static_cast<IfaceId>(index_number(entry, index, "iface", kMaxIface));
     }
     if (entry.find("worker") != nullptr) {
-      const double v = number_field(entry, index, "worker");
-      if (v < 0 || v != std::floor(v)) fail(index, "worker must be an index");
-      e.worker = static_cast<std::uint32_t>(v);
+      e.worker = static_cast<std::uint32_t>(
+          index_number(entry, index, "worker", kMaxWorker));
     }
     if (entry.find("duration_ms") != nullptr) {
-      const double v = number_field(entry, index, "duration_ms");
-      if (v <= 0) fail(index, "duration_ms must be > 0");
-      e.duration_ns = ms_to_ns(v);
+      e.duration_ns = ms_field_ns(entry, index, "duration_ms", false);
     }
     if (entry.find("period_ms") != nullptr) {
-      const double v = number_field(entry, index, "period_ms");
-      if (v <= 0) fail(index, "period_ms must be > 0");
-      e.period_ns = ms_to_ns(v);
+      e.period_ns = ms_field_ns(entry, index, "period_ms", false);
     }
     if (entry.find("delay_ms") != nullptr) {
-      const double v = number_field(entry, index, "delay_ms");
-      if (v <= 0) fail(index, "delay_ms must be > 0");
-      e.delay_ns = ms_to_ns(v);
+      e.delay_ns = ms_field_ns(entry, index, "delay_ms", false);
     }
     if (entry.find("probability") != nullptr) {
       e.probability = number_field(entry, index, "probability");
@@ -233,6 +257,9 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
       if (note == nullptr) note_fail("missing field \"note\"");
       const double at_ms = at->as_number();
       if (at_ms < 0) note_fail("at_ms must be >= 0");
+      if (!(at_ms <= kMaxMs)) {
+        note_fail("at_ms must be <= 1e9 (about 11.6 days)");
+      }
       plan.observed.push_back(ObservedNote{ms_to_ns(at_ms), note->as_string()});
       ++note_index;
     }

@@ -1,5 +1,6 @@
 #include "io/socket_api.hpp"
 
+#include <netinet/udp.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -24,6 +25,11 @@ int RealSocketApi::bind_to_device(int fd, const std::string& device) {
   errno = ENOTSUP;
   return -1;
 #endif
+}
+
+int RealSocketApi::probe_udp_segment(int fd) {
+  const int off = 0;
+  return ::setsockopt(fd, SOL_UDP, UDP_SEGMENT, &off, sizeof(off));
 }
 
 int RealSocketApi::send_many(int fd, mmsghdr* msgs, unsigned int count) {

@@ -32,6 +32,12 @@ class SocketApi {
   /// CAP_NET_RAW in practice -- callers treat failure as non-fatal).
   virtual int bind_to_device(int fd, const std::string& device) = 0;
 
+  /// setsockopt(SOL_UDP, UDP_SEGMENT, 0): 0 iff the kernel knows UDP
+  /// GSO.  A kernel without it (< 4.18) ignores the per-message cmsg and
+  /// would send a whole run as one datagram, so a failed probe keeps the
+  /// socket on one datagram per message.
+  virtual int probe_udp_segment(int fd) = 0;
+
   /// sendmmsg(fd, msgs, count, 0): number of messages sent, or -1.
   virtual int send_many(int fd, mmsghdr* msgs, unsigned int count) = 0;
 
@@ -44,6 +50,7 @@ class RealSocketApi final : public SocketApi {
   int open_udp() override;
   int bind_source(int fd, const sockaddr* addr, socklen_t len) override;
   int bind_to_device(int fd, const std::string& device) override;
+  int probe_udp_segment(int fd) override;
   int send_many(int fd, mmsghdr* msgs, unsigned int count) override;
   int close_fd(int fd) override;
 };

@@ -1,6 +1,7 @@
 #include "io/udp_backend.hpp"
 
 #include <arpa/inet.h>
+#include <netinet/udp.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -47,6 +48,8 @@ void UdpBackend::attach(const std::vector<std::string>& iface_names) {
     const UdpDestination* conf = nullptr;
     st->dest = resolve_dest(dest_config, st->name, j, &conf);
     st->fd = open_egress_socket(api(), conf, st->name);
+    st->gso.store(api().probe_udp_segment(st->fd) == 0,
+                  std::memory_order_relaxed);
     states_.push_back(std::move(st));
   }
 }
@@ -61,12 +64,25 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
   if (n == 0) return result;
   dispositions.assign(n, SendDisposition::kSent);
 
-  // --- Serialize: one (header, payload) message per sendable packet ------
-  st.msgs.resize(n);
-  st.iovs.resize(2 * n);
-  st.headers.resize(n);
-  st.packet_of_msg.clear();
+  // --- Serialize: one (header, payload) datagram per sendable packet,
+  // runs of equal wire size coalesced into one GSO message --------------
+  if (st.msgs.size() < n) {
+    st.msgs.resize(n);
+    st.controls.resize(n);
+    st.msg_end.resize(n);
+    st.iovs.resize(2 * n);
+    st.headers.resize(n);
+    st.packet_of_dgram.resize(n);
+  }
+  const std::size_t max_segments =
+      st.gso.load(std::memory_order_relaxed) ? kMaxSegments : 1;
+  std::size_t dgram_count = 0;
   std::size_t msg_count = 0;
+  std::size_t iov_count = 0;
+  std::size_t call_room = 0;     // datagrams the current sendmmsg can add
+  std::size_t run_size = 0;      // segment size of the open run; 0 = closed
+  std::size_t run_segments = 0;  // datagrams in the open run
+  std::size_t run_bytes = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Packet& packet = burst[i];
     const std::size_t frame_bytes =
@@ -76,7 +92,8 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
     const std::size_t header_bytes =
         WireHeader::kSize +
         (packet.trace != 0 ? WireHeader::kTimestampSize : 0);
-    if (header_bytes + payload > kMaxDatagramBytes) {
+    const std::size_t wire = header_bytes + payload;
+    if (wire > kMaxDatagramBytes) {
       // Could never leave the host; terminal, counted apart from socket
       // errors so a misconfigured payload cap is distinguishable.
       dispositions[i] = SendDisposition::kDropped;
@@ -99,77 +116,125 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
       header.flags |= WireHeader::kFlagTxTimestamp;
       header.tx_timestamp_ns = mono_now_ns();
     }
-    net::BufWriter writer(std::span<net::Byte>(st.headers[msg_count]));
+    net::BufWriter writer(std::span<net::Byte>(st.headers[dgram_count]));
     header.encode(writer);
-    iovec* iov = &st.iovs[2 * msg_count];
-    iov[0].iov_base = st.headers[msg_count].data();
+
+    const bool joins = run_size != 0 && wire <= run_size &&
+                       run_segments < max_segments && call_room > 0 &&
+                       run_bytes + wire <= kMaxDatagramBytes;
+    if (!joins) {
+      if (call_room == 0) call_room = options_.max_batch;
+      mmsghdr& msg = st.msgs[msg_count];
+      std::memset(&msg, 0, sizeof(msg));
+      msg.msg_hdr.msg_name = &st.dest;
+      msg.msg_hdr.msg_namelen = sizeof(st.dest);
+      msg.msg_hdr.msg_iov = &st.iovs[iov_count];
+      ++msg_count;
+      run_size = wire;
+      run_segments = 0;
+      run_bytes = 0;
+    } else if (run_segments == 1) {
+      // The second datagram turns the message into a GSO run.
+      msghdr& hdr = st.msgs[msg_count - 1].msg_hdr;
+      hdr.msg_control = st.controls[msg_count - 1].bytes;
+      hdr.msg_controllen = sizeof(GsoControl::bytes);
+      cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr);
+      cmsg->cmsg_level = SOL_UDP;
+      cmsg->cmsg_type = UDP_SEGMENT;
+      cmsg->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+      const auto segment = static_cast<std::uint16_t>(run_size);
+      std::memcpy(CMSG_DATA(cmsg), &segment, sizeof(segment));
+    }
+    if (wire < run_size) run_size = 0;  // a shorter datagram ends the run
+    ++run_segments;
+    run_bytes += wire;
+    --call_room;
+
+    msghdr& hdr = st.msgs[msg_count - 1].msg_hdr;
+    iovec* iov = &st.iovs[iov_count];
+    iov[0].iov_base = st.headers[dgram_count].data();
     iov[0].iov_len = header.wire_size();
-    std::size_t iov_count = 1;
+    std::size_t iov_used = 1;
     if (payload > 0) {
       // iovec wants void*; the kernel only reads from a transmit iovec.
       iov[1].iov_base =
           const_cast<net::Byte*>(packet.frame->bytes().data());
       iov[1].iov_len = payload;
-      iov_count = 2;
+      iov_used = 2;
     }
-    mmsghdr& msg = st.msgs[msg_count];
-    std::memset(&msg, 0, sizeof(msg));
-    msg.msg_hdr.msg_name = &st.dest;
-    msg.msg_hdr.msg_namelen = sizeof(st.dest);
-    msg.msg_hdr.msg_iov = iov;
-    msg.msg_hdr.msg_iovlen = iov_count;
-    st.packet_of_msg.push_back(i);
-    ++msg_count;
+    hdr.msg_iovlen += iov_used;
+    iov_count += iov_used;
+    st.packet_of_dgram[dgram_count] = i;
+    st.msg_end[msg_count - 1] = ++dgram_count;
   }
 
-  // --- Flush in max_batch chunks; stop at the first pushback -------------
-  std::size_t done = 0;
-  bool requeue_rest = false;
-  bool drop_rest = false;
+  // --- Flush up to max_batch datagrams per call; stop at the first
+  // pushback.  Serialization closed a run wherever a call fills up, so
+  // whole messages pack each call exactly. ----------------------------------
+  std::size_t done = 0;  // messages the kernel took
+  bool drop_rest = false;  // else whatever is left is requeued
+  const auto msg_begin = [&st](std::size_t m) {
+    return m == 0 ? std::size_t{0} : st.msg_end[m - 1];
+  };
   while (done < msg_count) {
-    const unsigned int chunk = static_cast<unsigned int>(
-        std::min(options_.max_batch, msg_count - done));
+    std::size_t last = done;
+    while (last + 1 < msg_count &&
+           st.msg_end[last + 1] - msg_begin(done) <= options_.max_batch) {
+      ++last;
+    }
+    const auto chunk = static_cast<unsigned int>(last + 1 - done);
     const int rc = api().send_many(st.fd, st.msgs.data() + done, chunk);
     st.syscalls.fetch_add(1, std::memory_order_relaxed);
     if (rc < 0) {
-      if (transient_errno(errno)) {
-        requeue_rest = true;
-      } else {
+      const int err = errno;
+      if ((err == EIO || err == EINVAL) &&
+          st.msg_end[done] - msg_begin(done) > 1) {
+        // The device or path cannot take this GSO run: stop coalescing
+        // on this interface and let the retry go out per datagram.
+        st.gso.store(false, std::memory_order_relaxed);
+        MIDRR_LOG_WARN() << "egress: UDP GSO send failed on interface '"
+                         << st.name << "': " << std::strerror(err)
+                         << " (sending one datagram per message from now)";
+      } else if (!transient_errno(err)) {
         st.send_errors.fetch_add(1, std::memory_order_relaxed);
         drop_rest = true;
       }
+      // Otherwise pushback: the rest is requeued.
       break;
     }
-    if (rc == 0) {  // defensive: no progress must not spin
-      requeue_rest = true;
-      break;
-    }
-    if (batch_hist_ != nullptr) {
-      batch_hist_->observe(static_cast<std::uint64_t>(rc));
-    }
+    if (rc == 0) break;  // defensive: no progress must not spin
+    const std::size_t before = msg_begin(done);
     done += static_cast<std::size_t>(rc);
+    if (batch_hist_ != nullptr) {
+      batch_hist_->observe(st.msg_end[done - 1] - before);
+    }
     if (static_cast<unsigned int>(rc) < chunk) {
-      // Partial return: the kernel took [0..rc) and stopped; the tail is
-      // transient pushback, exactly like EAGAIN on the next call.
-      requeue_rest = true;
+      // Partial return: the kernel took messages [0..rc) and stopped; the
+      // tail is transient pushback, exactly like EAGAIN on the next call.
       break;
     }
   }
 
   // --- Classify ------------------------------------------------------------
-  for (std::size_t m = 0; m < done; ++m) {
-    const std::size_t i = st.packet_of_msg[m];
-    const Packet& packet = burst[i];
-    result.sent += 1;
-    result.sent_bytes += packet.size_bytes;
-    const iovec* iov = st.msgs[m].msg_hdr.msg_iov;
-    std::uint64_t wire = iov[0].iov_len;
-    if (st.msgs[m].msg_hdr.msg_iovlen == 2) wire += iov[1].iov_len;
-    st.sent_datagrams.fetch_add(1, std::memory_order_relaxed);
-    st.sent_wire_bytes.fetch_add(wire, std::memory_order_relaxed);
+  const std::size_t sent = msg_begin(done);
+  std::uint64_t wire_bytes = 0;
+  if (done > 0) {  // the sent messages' iovecs are iovs[0 .. end of last)
+    const msghdr& last = st.msgs[done - 1].msg_hdr;
+    for (const iovec* iov = st.iovs.data();
+         iov != last.msg_iov + last.msg_iovlen; ++iov) {
+      wire_bytes += iov->iov_len;
+    }
   }
-  for (std::size_t m = done; m < msg_count; ++m) {
-    const std::size_t i = st.packet_of_msg[m];
+  for (std::size_t d = 0; d < sent; ++d) {
+    result.sent_bytes += burst[st.packet_of_dgram[d]].size_bytes;
+  }
+  result.sent = sent;
+  if (sent > 0) {
+    st.sent_datagrams.fetch_add(sent, std::memory_order_relaxed);
+    st.sent_wire_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+  }
+  for (std::size_t d = sent; d < dgram_count; ++d) {
+    const std::size_t i = st.packet_of_dgram[d];
     const Packet& packet = burst[i];
     if (drop_rest) {
       dispositions[i] = SendDisposition::kDropped;
@@ -189,11 +254,11 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
   }
   if (result.requeued > 0) {
     st.requeue_events.fetch_add(1, std::memory_order_relaxed);
-    // Requeued messages are a strict suffix of the attempted order, so
-    // per flow they hold the top sequence numbers: rewind them and the
-    // retry re-stamps the same values (no phantom receiver gaps).
-    for (std::size_t m = done; m < msg_count; ++m) {
-      --st.seq_next[burst[st.packet_of_msg[m]].flow];
+    // Requeued datagrams are a strict suffix of the attempted order (whole
+    // messages), so per flow they hold the top sequence numbers: rewind
+    // them and the retry re-stamps the same values (no phantom gaps).
+    for (std::size_t d = sent; d < dgram_count; ++d) {
+      --st.seq_next[burst[st.packet_of_dgram[d]].flow];
     }
   }
   result.clean = result.sent == n;
@@ -233,6 +298,11 @@ std::uint64_t UdpBackend::requeue_events(IfaceId iface) const {
   return states_[iface]->requeue_events.load(std::memory_order_relaxed);
 }
 
+bool UdpBackend::gso_enabled(IfaceId iface) const {
+  if (iface >= states_.size()) return false;
+  return states_[iface]->gso.load(std::memory_order_relaxed);
+}
+
 std::uint16_t UdpBackend::dest_port(IfaceId iface) const {
   if (iface >= states_.size()) return 0;
   return ntohs(states_[iface]->dest.sin_port);
@@ -246,7 +316,8 @@ void UdpBackend::register_metrics(telemetry::MetricsRegistry& registry) {
   };
   batch_hist_ = &registry.histogram(
       "midrr_io_batch_size",
-      "Messages accepted per transmit syscall (sendmmsg return value).",
+      "Datagrams accepted per transmit syscall (a UDP GSO message counts "
+      "each of its datagrams).",
       {{"backend", "udp"}});
   for (const auto& sp : states_) {
     IfaceState* st = sp.get();
@@ -287,6 +358,13 @@ void UdpBackend::register_metrics(telemetry::MetricsRegistry& registry) {
         "midrr_io_error_drops_total",
         "Packets dropped terminally after a hard transmit error.", labels,
         count_of(st->error_drops));
+    registry.gauge_fn(
+        "midrr_io_gso_enabled",
+        "1 while the interface coalesces equal-size datagrams into UDP GSO "
+        "messages; 0 if the kernel lacks UDP_SEGMENT or a GSO send failed.",
+        labels, [st] {
+          return st->gso.load(std::memory_order_relaxed) ? 1.0 : 0.0;
+        });
   }
 }
 

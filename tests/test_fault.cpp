@@ -165,6 +165,43 @@ TEST(FaultPlanParse, RejectsSchemaViolationsLoudly) {
   rejects(R"({"seed": 1.5, "events": []})");
   rejects(R"({"seeds": 1, "events": []})");  // unknown top-level key
   rejects(R"({"seed": 1})");                 // missing events
+  // Every integer field is bounded before its cast; the error names it.
+  const auto rejects_field = [](const std::string& text,
+                                const std::string& field) {
+    try {
+      FaultPlan::parse_json(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects_field(R"({"seed": 1e300, "events": []})", "seed");
+  rejects_field(R"({"seed": 18446744073709551616, "events": []})", "seed");
+  rejects_field(R"({"events": [{"at_ms": 1, "kind": "iface_down",
+                "iface": 1e300}]})", "iface");
+  rejects_field(R"({"events": [{"at_ms": 1, "kind": "iface_down",
+                "iface": 4294967295}]})", "iface");  // kInvalidIface
+  rejects_field(R"({"events": [{"at_ms": 1, "kind": "worker_stall",
+                "worker": 4294967296, "duration_ms": 5}]})", "worker");
+  rejects_field(R"({"events": [{"at_ms": 1e300, "kind": "iface_down",
+                "iface": 0}]})", "at_ms");
+  rejects_field(R"({"events": [{"at_ms": 1, "kind": "pool_exhaust",
+                "duration_ms": 1e300}]})", "duration_ms");
+  rejects_field(R"({"events": [{"at_ms": 1, "kind": "iface_flap", "iface": 0,
+                "period_ms": 1e10, "duration_ms": 10}]})", "period_ms");
+  rejects_field(R"({"events": [{"at_ms": 1, "kind": "ingress_delay",
+                "probability": 0.5, "delay_ms": 1e300, "duration_ms": 10}]})",
+                "delay_ms");
+  rejects_field(R"({"events": [], "observed": [{"at_ms": 1e300,
+                "note": "x"}]})", "at_ms");
+  // The largest accepted values still parse.
+  const FaultPlan edge = FaultPlan::parse_json(
+      R"({"seed": 18446744073709549568, "events": [{"at_ms": 1e9,
+          "kind": "worker_stall", "worker": 4294967295,
+          "duration_ms": 1e9}]})");
+  EXPECT_EQ(edge.events[0].worker, 4294967295u);
+  EXPECT_EQ(edge.events[0].at_ns, 1'000'000'000'000'000);
 }
 
 // --- FaultPlan canonical serialization ------------------------------------

@@ -3,12 +3,17 @@
 // against a scripted SocketApi -- partial sendmmsg returns mid-burst,
 // EAGAIN storms (everything requeued, nothing lost), hard errors
 // (counted, remainder dropped terminally), oversize rejection (counted
-// apart from socket errors), batch chunking, and sequence-number rewind
-// on requeue.  The runtime-level tests then close the loop: the requeue
+// apart from socket errors), batch chunking, sequence-number rewind on
+// requeue, and UDP GSO runs (run shape and caps, run-level partial
+// returns, the EIO/EINVAL fallback, a failed capability probe) against a
+// mock that splits GSO messages the way the kernel does.  The
+// runtime-level tests then close the loop: the requeue
 // stash preserves exactly-once dequeue accounting end to end, and a UDP
 // run over an always-accepting mock produces the same per-flow delivery
 // totals as the sim backend on the same offered load.
 #include <gtest/gtest.h>
+
+#include <netinet/udp.h>
 
 #include <cerrno>
 #include <chrono>
@@ -30,6 +35,7 @@
 #include "runtime/runtime.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
+#include "telemetry/promlint.hpp"
 
 namespace midrr::io {
 namespace {
@@ -157,9 +163,27 @@ struct CapturedDatagram {
   WireHeader header;
 };
 
-/// SocketApi whose send_many consumes a scripted plan.  An empty plan
-/// accepts everything; a step either accepts the first `accept` messages
-/// of the call or fails with `err`.  Captures every accepted datagram.
+/// The UDP_SEGMENT size a message carries, or 0 for a plain message.
+std::size_t gso_size_of(const msghdr& hdr) {
+  for (const cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr;
+       cmsg = CMSG_NXTHDR(const_cast<msghdr*>(&hdr),
+                          const_cast<cmsghdr*>(cmsg))) {
+    if (cmsg->cmsg_level == SOL_UDP && cmsg->cmsg_type == UDP_SEGMENT) {
+      std::uint16_t size = 0;
+      std::memcpy(&size, CMSG_DATA(cmsg), sizeof(size));
+      return size;
+    }
+  }
+  return 0;
+}
+
+/// SocketApi whose send_many consumes a scripted plan and acts like the
+/// kernel's UDP GSO.  An empty plan accepts everything; a step either
+/// accepts the first `accept` messages of the call or fails with `err`.
+/// Each message is taken or refused whole; a message with a UDP_SEGMENT
+/// cmsg is split into its datagrams, and one with more than 64 segments,
+/// more than 65507 bytes, or a short segment that is not the last is
+/// refused with EINVAL.  Captures every accepted datagram.
 class MockSocketApi final : public SocketApi {
  public:
   struct Step {
@@ -170,6 +194,7 @@ class MockSocketApi final : public SocketApi {
   std::deque<Step> plan;       // guarded by mu_ (worker threads send)
   int forced_errno = 0;        ///< != 0: every call fails with this errno
   int open_result = 100;       ///< next fd; < 0 simulates socket() failure
+  bool gso_supported = true;   ///< probe_udp_segment succeeds
 
   int open_udp() override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -182,6 +207,11 @@ class MockSocketApi final : public SocketApi {
     devices_.push_back(device);
     return device == "denied0" ? -1 : 0;
   }
+  int probe_udp_segment(int) override {
+    if (gso_supported) return 0;
+    errno = ENOPROTOOPT;
+    return -1;
+  }
   int close_fd(int) override {
     std::lock_guard<std::mutex> lock(mu_);
     ++closed_;
@@ -191,6 +221,13 @@ class MockSocketApi final : public SocketApi {
   int send_many(int fd, mmsghdr* msgs, unsigned int count) override {
     std::lock_guard<std::mutex> lock(mu_);
     ++calls_;
+    std::size_t offered = 0;
+    for (unsigned int m = 0; m < count; ++m) {
+      const std::size_t gso = gso_size_of(msgs[m].msg_hdr);
+      if (gso != 0) ++gso_messages_;
+      offered += gso == 0 ? 1 : (bytes_of(msgs[m]) + gso - 1) / gso;
+    }
+    call_datagrams_.push_back(offered);
     if (forced_errno != 0) {
       errno = forced_errno;
       return -1;
@@ -206,7 +243,20 @@ class MockSocketApi final : public SocketApi {
     }
     const unsigned int take =
         std::min(count, static_cast<unsigned int>(step.accept));
-    for (unsigned int m = 0; m < take; ++m) capture(fd, msgs[m]);
+    for (unsigned int m = 0; m < take; ++m) {
+      std::vector<CapturedDatagram> dgrams;
+      if (!split(fd, msgs[m], dgrams)) {
+        // The kernel stops at the first message it refuses.
+        ++refused_;
+        if (m == 0) {
+          errno = EINVAL;
+          return -1;
+        }
+        return static_cast<int>(m);
+      }
+      message_segments_.push_back(dgrams.size());
+      captured_.insert(captured_.end(), dgrams.begin(), dgrams.end());
+    }
     return static_cast<int>(take);
   }
 
@@ -214,6 +264,26 @@ class MockSocketApi final : public SocketApi {
   std::vector<CapturedDatagram> captured() const {
     std::lock_guard<std::mutex> lock(mu_);
     return captured_;
+  }
+  /// Datagrams per accepted message, in send order.
+  std::vector<std::size_t> message_segments() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return message_segments_;
+  }
+  /// Datagrams offered per send_many call, accepted or not.
+  std::vector<std::size_t> call_datagrams() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return call_datagrams_;
+  }
+  /// Messages offered with a UDP_SEGMENT cmsg, accepted or not.
+  std::size_t gso_messages() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return gso_messages_;
+  }
+  /// Messages refused by the kernel-rule check (not by the plan).
+  std::size_t refused() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return refused_;
   }
   std::size_t calls() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -237,24 +307,61 @@ class MockSocketApi final : public SocketApi {
   }
 
  private:
-  void capture(int fd, const mmsghdr& msg) {
+  static std::size_t bytes_of(const mmsghdr& msg) {
+    std::size_t bytes = 0;
+    for (std::size_t k = 0; k < msg.msg_hdr.msg_iovlen; ++k) {
+      bytes += msg.msg_hdr.msg_iov[k].iov_len;
+    }
+    return bytes;
+  }
+
+  /// The datagrams the kernel would put on the wire for `msg`; false if
+  /// it would refuse the message.  Datagram boundaries are found from
+  /// each header's own length, so a misplaced short segment shows.
+  static bool split(int fd, const mmsghdr& msg,
+                    std::vector<CapturedDatagram>& out) {
     std::vector<net::Byte> data;
     for (std::size_t k = 0; k < msg.msg_hdr.msg_iovlen; ++k) {
       const auto* base =
           static_cast<const net::Byte*>(msg.msg_hdr.msg_iov[k].iov_base);
       data.insert(data.end(), base, base + msg.msg_hdr.msg_iov[k].iov_len);
     }
-    CapturedDatagram dgram;
-    dgram.fd = fd;
-    dgram.wire_bytes = data.size();
-    const auto header = WireHeader::decode(data);
-    ASSERT_TRUE(header.has_value()) << "backend emitted an unparsable header";
-    dgram.header = *header;
-    captured_.push_back(dgram);
+    const std::size_t gso = gso_size_of(msg.msg_hdr);
+    if (gso != 0 && (data.size() > UdpBackend::kMaxDatagramBytes ||
+                     data.size() > UdpBackend::kMaxSegments * gso)) {
+      return false;
+    }
+    std::size_t offset = 0;
+    do {
+      const auto header = WireHeader::decode(
+          std::span<const net::Byte>(data).subspan(offset));
+      if (!header.has_value()) {
+        ADD_FAILURE() << "backend emitted an unparsable header";
+        return false;
+      }
+      const std::size_t len = header->wire_size() + header->payload_bytes;
+      const bool last = offset + len >= data.size();
+      if (gso == 0 ? offset + len != data.size()
+                   : len > gso || (len < gso && !last)) {
+        if (gso == 0) ADD_FAILURE() << "datagram length != its header's";
+        return false;
+      }
+      CapturedDatagram dgram;
+      dgram.fd = fd;
+      dgram.wire_bytes = len;
+      dgram.header = *header;
+      out.push_back(dgram);
+      offset += len;
+    } while (offset < data.size());
+    return offset == data.size();
   }
 
   mutable std::mutex mu_;
   std::vector<CapturedDatagram> captured_;
+  std::vector<std::size_t> message_segments_;
+  std::vector<std::size_t> call_datagrams_;
+  std::size_t gso_messages_ = 0;
+  std::size_t refused_ = 0;
   std::size_t calls_ = 0;
   int opened_ = 0;
   int closed_ = 0;
@@ -420,8 +527,13 @@ TEST(UdpBackend, PartialReturnRequeuesSuffixAndRewindsSequences) {
   UdpBackend backend(mock_options(api));
   backend.attach({"if0"});
 
+  // Increasing frame sizes keep each datagram its own message, so the
+  // partial return splits the burst at a datagram.
   std::vector<Packet> burst;
-  for (std::uint32_t i = 0; i < 5; ++i) burst.emplace_back(7, 100);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    burst.emplace_back(7, 100);
+    burst.back().frame = frame_of(10 + i);
+  }
   std::vector<SendDisposition> dispositions;
   const EgressResult first = backend.send_burst(0, burst, 0, dispositions);
   EXPECT_FALSE(first.clean);
@@ -491,9 +603,13 @@ TEST(UdpBackend, RepeatedEnobufsBurstsKeepSequencesGapFree) {
   api.plan.push_back({.accept = -1, .err = ENOBUFS});
   api.plan.push_back({.accept = -1, .err = ENOBUFS});
 
+  // Increasing frame sizes keep each datagram its own message, so every
+  // accept count above is a datagram count.
   std::vector<Packet> pending;
-  for (std::uint32_t i = 0; i < 8; ++i)
+  for (std::uint32_t i = 0; i < 8; ++i) {
     pending.emplace_back(i % 2 == 0 ? 1 : 2, 100);
+    pending.back().frame = frame_of(10 + i);
+  }
   std::vector<SendDisposition> dispositions;
   std::uint64_t drops = 0;
   for (int round = 0; round < 8 && !pending.empty(); ++round) {
@@ -584,6 +700,203 @@ TEST(UdpBackend, OversizeDatagramIsDroppedUpfrontAndCountedDistinctly) {
   EXPECT_EQ(backend.send_errors(0), 0u)
       << "oversize is a config problem, not a socket error";
   EXPECT_EQ(api.captured().size(), 2u) << "never offered to the kernel";
+}
+
+// --- UdpBackend: UDP GSO runs ------------------------------------------------
+
+/// `count` packets of flow `flow`, each carrying a `frame_bytes` frame.
+std::vector<Packet> equal_packets(std::size_t count, FlowId flow,
+                                  std::size_t frame_bytes) {
+  std::vector<Packet> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.emplace_back(flow, 100);
+    out.back().frame = frame_of(frame_bytes);
+  }
+  return out;
+}
+
+TEST(UdpBackend, CoalescesEqualSizeRunsIntoGsoMessages) {
+  MockSocketApi api;
+  UdpBackend backend(mock_options(api));
+  backend.attach({"if0"});
+  ASSERT_TRUE(backend.gso_enabled(0));
+
+  // Frames: 3 x 64 B and a 40 B one, whose shorter datagram ends that
+  // run; then 7 x 64 B where the third is traced: its 8-byte trailer
+  // breaks the run, it starts a longer one, and the next untraced
+  // datagram joins that as its shorter last; then a lone 200 B frame.
+  std::vector<Packet> burst = equal_packets(3, 1, 64);
+  burst.emplace_back(1, 100);
+  burst.back().frame = frame_of(40);
+  for (const Packet& p : equal_packets(7, 2, 64)) burst.push_back(p);
+  burst[6].trace = 0x7;
+  burst.emplace_back(1, 100);
+  burst.back().frame = frame_of(200);
+
+  std::vector<SendDisposition> dispositions;
+  const EgressResult result = backend.send_burst(0, burst, 0, dispositions);
+  EXPECT_TRUE(result.clean);
+  EXPECT_EQ(result.sent, burst.size());
+  EXPECT_EQ(api.calls(), 1u);
+  EXPECT_EQ(api.refused(), 0u);
+  EXPECT_EQ(api.message_segments(),
+            (std::vector<std::size_t>{4, 2, 2, 3, 1}));
+  EXPECT_EQ(api.gso_messages(), 4u) << "a run of one carries no cmsg";
+
+  const auto captured = api.captured();
+  ASSERT_EQ(captured.size(), burst.size());
+  std::uint64_t next_seq[3] = {0, 0, 0};
+  std::uint64_t wire = 0;
+  for (std::size_t d = 0; d < captured.size(); ++d) {
+    EXPECT_EQ(captured[d].header.flow, burst[d].flow) << d;
+    EXPECT_EQ(captured[d].header.seq, next_seq[burst[d].flow]++) << d;
+    EXPECT_EQ(captured[d].header.has_tx_timestamp(), burst[d].trace != 0)
+        << d;
+    wire += captured[d].wire_bytes;
+  }
+  EXPECT_EQ(captured[3].wire_bytes, WireHeader::kSize + 40u);
+  EXPECT_EQ(backend.sent_datagrams(0), burst.size());
+  EXPECT_EQ(backend.sent_wire_bytes(0), wire);
+}
+
+TEST(UdpBackend, RunCapsSegmentsBytesAndMaxBatch) {
+  {  // 64 segments per message, one call for all 130 datagrams
+    MockSocketApi api;
+    UdpBackend backend(mock_options(api, /*max_batch=*/256));
+    backend.attach({"if0"});
+    std::vector<SendDisposition> dispositions;
+    EXPECT_TRUE(
+        backend.send_burst(0, equal_packets(130, 1, 64), 0, dispositions)
+            .clean);
+    EXPECT_EQ(api.message_segments(),
+              (std::vector<std::size_t>{64, 64, 2}));
+    EXPECT_EQ(api.call_datagrams(), (std::vector<std::size_t>{130}));
+    EXPECT_EQ(api.captured().size(), 130u);
+  }
+  {  // 65507 bytes per message: 46 x 1424 B fit, a 47th would not
+    MockSocketApi api;
+    UdpBackend backend(mock_options(api));
+    backend.attach({"if0"});
+    std::vector<SendDisposition> dispositions;
+    EXPECT_TRUE(
+        backend.send_burst(0, equal_packets(50, 1, 2000), 0, dispositions)
+            .clean);
+    ASSERT_EQ(api.message_segments(), (std::vector<std::size_t>{46, 4}));
+    EXPECT_EQ(api.captured()[0].wire_bytes, WireHeader::kSize + 1400u);
+    EXPECT_LE(46 * (WireHeader::kSize + 1400), UdpBackend::kMaxDatagramBytes);
+    EXPECT_GT(47 * (WireHeader::kSize + 1400), UdpBackend::kMaxDatagramBytes);
+  }
+  {  // max_batch counts datagrams: runs close where a call fills up
+    MockSocketApi api;
+    UdpBackend backend(mock_options(api, /*max_batch=*/4));
+    backend.attach({"if0"});
+    std::vector<Packet> burst = equal_packets(3, 1, 64);
+    for (const Packet& p : equal_packets(7, 1, 80)) burst.push_back(p);
+    std::vector<SendDisposition> dispositions;
+    EXPECT_TRUE(backend.send_burst(0, burst, 0, dispositions).clean);
+    EXPECT_EQ(api.message_segments(),
+              (std::vector<std::size_t>{3, 1, 4, 2}));
+    EXPECT_EQ(api.call_datagrams(), (std::vector<std::size_t>{4, 4, 2}));
+    EXPECT_EQ(backend.syscalls(), 3u);
+  }
+  {  // max_batch = 1 still means one datagram per syscall
+    MockSocketApi api;
+    UdpBackend backend(mock_options(api, /*max_batch=*/1));
+    backend.attach({"if0"});
+    std::vector<SendDisposition> dispositions;
+    EXPECT_TRUE(
+        backend.send_burst(0, equal_packets(5, 1, 64), 0, dispositions)
+            .clean);
+    EXPECT_EQ(api.calls(), 5u);
+    EXPECT_EQ(api.gso_messages(), 0u);
+  }
+}
+
+TEST(UdpBackend, RunLevelPartialReturnRequeuesTheSecondRun) {
+  MockSocketApi api;
+  api.plan.push_back({.accept = 1});  // the kernel takes run 1 of 2
+  UdpBackend backend(mock_options(api));
+  backend.attach({"if0"});
+
+  std::vector<Packet> burst = equal_packets(3, 4, 64);
+  for (const Packet& p : equal_packets(4, 4, 128)) burst.push_back(p);
+  std::vector<SendDisposition> dispositions;
+  const EgressResult first = backend.send_burst(0, burst, 0, dispositions);
+  EXPECT_FALSE(first.clean);
+  EXPECT_EQ(first.sent, 3u);
+  EXPECT_EQ(first.requeued, 4u);
+  EXPECT_EQ(first.dropped, 0u);
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(dispositions[i], i < 3 ? SendDisposition::kSent
+                                     : SendDisposition::kRequeued)
+        << i;
+  }
+  EXPECT_EQ(backend.sent_datagrams(0), 3u);
+  EXPECT_EQ(backend.send_errors(0), 0u);
+
+  std::vector<Packet> retry(burst.begin() + 3, burst.end());
+  EXPECT_TRUE(backend.send_burst(0, retry, 0, dispositions).clean);
+  const auto captured = api.captured();
+  ASSERT_EQ(captured.size(), 7u);
+  for (std::uint64_t d = 0; d < 7; ++d) {
+    EXPECT_EQ(captured[d].header.seq, d) << "rewound and re-stamped";
+  }
+  EXPECT_EQ(api.message_segments(), (std::vector<std::size_t>{3, 4}));
+}
+
+TEST(UdpBackend, GsoSendFailureFallsBackPerDatagramWithoutLoss) {
+  for (const int err : {EIO, EINVAL}) {
+    MockSocketApi api;
+    api.plan.push_back({.accept = -1, .err = err});
+    UdpBackend backend(mock_options(api));
+    backend.attach({"if0"});
+    const std::vector<Packet> burst = equal_packets(6, 3, 64);
+    std::vector<SendDisposition> dispositions;
+    const EgressResult first = backend.send_burst(0, burst, 0, dispositions);
+    EXPECT_EQ(first.requeued, 6u) << err;
+    EXPECT_EQ(first.dropped, 0u) << err;
+    EXPECT_EQ(backend.send_errors(0), 0u) << "a refused run is not an error";
+    EXPECT_FALSE(backend.gso_enabled(0));
+
+    EXPECT_TRUE(backend.send_burst(0, burst, 0, dispositions).clean);
+    EXPECT_EQ(api.message_segments(), std::vector<std::size_t>(6, 1));
+    EXPECT_EQ(api.gso_messages(), 1u) << "only the refused attempt";
+    const auto captured = api.captured();
+    ASSERT_EQ(captured.size(), 6u);
+    for (std::uint64_t d = 0; d < 6; ++d) EXPECT_EQ(captured[d].header.seq, d);
+
+    // Without GSO an EINVAL is about the datagram itself: a hard error.
+    api.plan.push_back({.accept = -1, .err = EINVAL});
+    const EgressResult hard = backend.send_burst(0, burst, 0, dispositions);
+    EXPECT_EQ(hard.dropped, 6u);
+    EXPECT_EQ(backend.send_errors(0), 1u);
+  }
+}
+
+TEST(UdpBackend, FailedProbeNeverEmitsTheCmsg) {
+  MockSocketApi api;
+  api.gso_supported = false;
+  UdpBackend backend(mock_options(api));
+  backend.attach({"if0"});
+  EXPECT_FALSE(backend.gso_enabled(0));
+  telemetry::MetricsRegistry registry;
+  backend.register_metrics(registry);
+
+  std::vector<SendDisposition> dispositions;
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(
+        backend.send_burst(0, equal_packets(20, 1, 64), 0, dispositions)
+            .clean);
+  }
+  EXPECT_EQ(api.gso_messages(), 0u);
+  EXPECT_EQ(api.message_segments(), std::vector<std::size_t>(60, 1));
+  EXPECT_EQ(api.calls(), 3u) << "still one sendmmsg per burst";
+  const std::string text = telemetry::render_prometheus(registry);
+  EXPECT_NE(text.find(
+                "midrr_io_gso_enabled{backend=\"udp\",iface=\"if0\"} 0"),
+            std::string::npos);
+  EXPECT_TRUE(telemetry::lint_prometheus(text).empty())
+      << "the io exposition must pass midrr_lint";
 }
 
 TEST(UdpBackend, RegistersIoMetricsSeries) {

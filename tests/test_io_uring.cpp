@@ -56,6 +56,7 @@ class StubSocketApi final : public SocketApi {
   int open_udp() override { return next_fd_++; }
   int bind_source(int, const sockaddr*, socklen_t) override { return 0; }
   int bind_to_device(int, const std::string&) override { return 0; }
+  int probe_udp_segment(int) override { return 0; }
   int send_many(int, mmsghdr*, unsigned int) override {
     errno = ENOSYS;
     return -1;  // the uring backend must never fall back to sendmmsg

@@ -102,7 +102,7 @@ int usage() {
          "                  (e.g. --udp-dest if0=127.0.0.1:9000)\n"
          "  --udp-base-port P  fallback for unmapped interfaces: iface j\n"
          "                  sends to 127.0.0.1:P+j (pairs with midrr_rx)\n"
-         "  --udp-batch N   messages per sendmmsg call (default 64)\n"
+         "  --udp-batch N   datagrams per sendmmsg call (default 64)\n"
          "  --udp-payload B frame bytes copied per datagram after the\n"
          "                  24-byte header (default 1400, truncating)\n"
          "  --stage-sample N  trace every Nth packet per flow through the\n"
