@@ -1,31 +1,38 @@
-// rt_throughput: sweep the real-time runtime's worker count and record
-// packets/s plus enqueue->dequeue latency percentiles into BENCH_rt.json.
+// rt_throughput: sweep the real-time runtime and record packets/s plus
+// enqueue->dequeue latency percentiles into BENCH_rt.json.
 //
-//   rt_throughput [--duration S] [--out FILE]
+//   rt_throughput [--duration S] [--out FILE] [--scale-only]
 //
-// Three sweeps, all over 8 unpaced interfaces with one producer thread:
-//   1. workers in {1, 2, 4, 8} (shards = workers, the scaling
-//      configuration) at 256 and 1024 flows, each cell twice: telemetry
-//      off and on (a live MetricsRegistry with the full runtime +
-//      per-shard scheduler instrumentation, no tracing).  The on/off pps
-//      ratio is the metrics hot-path overhead.
-//   2. fan-in batch size in {128 .. 2048} at the single-worker cell --
-//      how RuntimeOptions::fanin_batch trades shard-lock/wakeup
-//      amortization against burstiness.
-//   3. payload mode none/heap/pooled at the single-worker cell -- the
-//      cost of carrying real 1000-byte payloads, and how much of it the
-//      frame pool wins back (pool counters included for the pooled cell).
+// Every load cell is an rt::RunSpec run by rt::run() (runtime/run.hpp),
+// the path midrr_rt takes; a cell here is the midrr_rt command line in
+// its comment.  Nine sweeps, each cell `--duration` seconds:
+//   1. workers in {1, 2, 4, 8} (shards = workers) at 256 and 1024 flows
+//      over 8 unpaced interfaces, each cell twice: telemetry off and on
+//      (`--telemetry 0`: a live MetricsRegistry with the full runtime and
+//      per-shard scheduler instrumentation, the fairness-drift sampler and
+//      an idle HTTP server; no tracing).  The on/off pps ratio is the
+//      metrics overhead.
+//   2. fan-in batch size in {128 .. 2048} at the single-worker cell.
+//   3. payload mode none/heap/pooled at the single-worker cell (pool
+//      counters included for the pooled cell).
 //   4. latency attribution at the single-worker cell: stage tracing off
-//      vs the default 1-in-64 sampling.  The pps ratio is the tracing
-//      hot-path overhead (budget: >= 0.95), and the traced cell reports
-//      the per-stage breakdown the tracer exists to produce.
-//   5. slo burn: the 2x-overload cell with a deliberately tight p99
-//      objective bound to every class; sustained overload must push the
-//      burn rate above 1 (the paging threshold).
+//      vs 1-in-64 sampling; the pps ratio is the tracing overhead, and the
+//      traced cell carries the per-stage breakdown.
+//   5. slo burn: 2x overload of one paced interface with a tight p99
+//      objective; sustained overload must push the burn rate above 1.
+//   6. overload shedding: the same 2x overload with the fan-in watermark
+//      off and on; Jain index and utilization over the settled window.
+//   7. adaptive shedding: the same overload, watermark derived live from a
+//      5 ms p99 objective (`--supervise --shed-target-p99-ms 5`).
+//   8. egress backends: sim, udp at sendmmsg batch 1/32/256, and io_uring
+//      with and without SEND_ZC, pooled payloads over loopback.
+//   9. class scale: 1000 classes at 10k and 1M flows -- control-plane
+//      registration, RSS and publish latency; not a run, so bespoke.
+//      `--scale-only` runs just this sweep (what CI gates).
 // NOTE: results depend on the host's core count; the JSON records
-// std::thread::hardware_concurrency() so a reader can tell a 1-core CI
-// box (where workers time-slice one core and pps cannot scale) from a
-// real multicore run.
+// std::thread::hardware_concurrency() so a reader can tell a 1-core box
+// (where workers time-slice one core and pps cannot scale) from a real
+// multicore run.
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,57 +40,19 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fault/adapt.hpp"
-#include "fault/supervisor.hpp"
-#include "io/udp_backend.hpp"
-#include "io/uring_backend.hpp"
-#include "io/wire.hpp"
-#include "runtime/load_generator.hpp"
-#include "runtime/runtime.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/slo.hpp"
-#include "telemetry/stage_latency.hpp"
+#include "runtime/run.hpp"
 #include "util/json.hpp"
-#include "util/latency_histogram.hpp"
 
 namespace {
 
-using midrr::PacketPoolStats;
+using midrr::rt::RunReport;
+using midrr::rt::RunSpec;
+using midrr::rt::Runtime;
 using PayloadMode = midrr::rt::LoadGeneratorOptions::PayloadMode;
-
-struct StageQuantiles {
-  double p50_ns = 0;
-  double p99_ns = 0;
-};
-
-struct Cell {
-  std::size_t flows;
-  std::size_t workers;
-  bool telemetry = false;
-  std::size_t fanin_batch = 0;  // 0 = RuntimeOptions default
-  PayloadMode payload = PayloadMode::kNone;
-  std::uint32_t stage_sample = 0;  // 0 = tracing off
-  double pps = 0;
-  double p50_ns = 0;
-  double p99_ns = 0;
-  std::uint64_t dequeued = 0;
-  double duration_s = 0;
-  PacketPoolStats pool{};
-  // Tracer accounting + per-stage breakdown (stage_sample > 0 only);
-  // quantiles are over the per-iface grids merged into one.
-  std::uint64_t trace_started = 0;
-  std::uint64_t trace_completed = 0;
-  std::uint64_t trace_lost = 0;
-  std::uint64_t trace_dropped = 0;
-  StageQuantiles stages[midrr::telemetry::kStageCount]{};
-  StageQuantiles e2e{};
-  double reconciliation_error = 0;
-};
 
 const char* payload_name(PayloadMode mode) {
   switch (mode) {
@@ -93,481 +62,135 @@ const char* payload_name(PayloadMode mode) {
   }
 }
 
-Cell run_cell(std::size_t flows, std::size_t workers, double duration_s,
-              bool telemetry, std::size_t fanin_batch = 0,
-              PayloadMode payload = PayloadMode::kNone,
-              std::uint32_t stage_sample = 0) {
-  using namespace midrr;
-  using namespace midrr::rt;
-
-  constexpr std::size_t kIfaces = 8;
-  // Outlives the runtime: registered callbacks point into runtime state.
-  midrr::telemetry::MetricsRegistry registry;
-  RuntimeOptions options;
-  options.workers = workers;
-  options.shards = workers;  // the scaling configuration
-  options.producers = 1;
-  options.max_flows = flows;
-  if (fanin_batch != 0) options.fanin_batch = fanin_batch;
-  if (telemetry) options.metrics = &registry;
-  options.stage_sample_every = stage_sample;
-
-  Runtime runtime(options);
-  for (std::size_t j = 0; j < kIfaces; ++j) {
-    runtime.add_interface("if" + std::to_string(j));
-  }
-  for (std::size_t i = 0; i < flows; ++i) {
-    RtFlowSpec spec;
-    spec.willing.push_back(static_cast<IfaceId>(i % kIfaces));
-    spec.willing.push_back(static_cast<IfaceId>((i + 1) % kIfaces));
-    runtime.control().add_flow(spec);
-  }
-
-  runtime.start();
-  LoadGeneratorOptions load;
-  load.producers = 1;
-  load.packet_bytes = 1000;
-  load.payload = payload;
-  LoadGenerator generator(runtime, load);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  generator.start();
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
-  generator.stop();
-  runtime.stop();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  const RuntimeStats stats = runtime.stats();
-  Cell cell;
-  cell.flows = flows;
-  cell.workers = workers;
-  cell.telemetry = telemetry;
-  cell.fanin_batch = fanin_batch;
-  cell.payload = payload;
-  cell.stage_sample = stage_sample;
-  cell.dequeued = stats.dequeued;
-  cell.duration_s = elapsed;
-  cell.pps = static_cast<double>(stats.dequeued) / elapsed;
-  cell.p50_ns = stats.latency_p50_ns;
-  cell.p99_ns = stats.latency_p99_ns;
-  cell.pool = generator.pool_stats();
-  if (const telemetry::StageTracer* tracer = runtime.stage_tracer()) {
-    cell.trace_started = tracer->started();
-    cell.trace_completed = tracer->completed();
-    cell.trace_lost = tracer->lost();
-    cell.trace_dropped = tracer->dropped();
-    cell.reconciliation_error = tracer->reconciliation_error();
-    for (std::size_t s = 0; s < telemetry::kStageCount; ++s) {
-      LatencyHistogram merged;
-      for (std::size_t j = 0; j < kIfaces; ++j) {
-        merged.merge_from(tracer->stage_grid(static_cast<IfaceId>(j),
-                                             static_cast<telemetry::Stage>(s)));
-      }
-      cell.stages[s].p50_ns = merged.quantile(0.5);
-      cell.stages[s].p99_ns = merged.quantile(0.99);
-    }
-    LatencyHistogram merged_e2e;
-    for (std::size_t j = 0; j < kIfaces; ++j) {
-      merged_e2e.merge_from(tracer->e2e_grid(static_cast<IfaceId>(j)));
-    }
-    cell.e2e.p50_ns = merged_e2e.quantile(0.5);
-    cell.e2e.p99_ns = merged_e2e.quantile(0.99);
-  }
-  return cell;
+double pps(const RunReport& r, std::uint64_t packets) {
+  return static_cast<double>(packets) / r.duration_s;
 }
 
-// Overload cell: one paced interface, equal flows, the generator offering a
-// fixed multiple of capacity.  Records the Jain fairness index of per-flow
-// goodput over the settled window -- the number the shedding watermark is
-// supposed to protect -- plus where the excess went.
-struct OverloadCell {
-  std::uint64_t shed_bytes = 0;
-  double overload = 0;
+double pkts_per_syscall(const RunReport& r) {
+  return r.stats.io_syscalls > 0 ? static_cast<double>(r.stats.sent) /
+                                       static_cast<double>(r.stats.io_syscalls)
+                                 : 0.0;
+}
+
+/// `--flows F --ifaces 8 --workers W`: the unpaced scaling configuration.
+RunSpec sweep_spec(std::size_t flows, std::size_t workers, double duration_s) {
+  RunSpec spec;
+  spec.flows = flows;
+  spec.ifaces = 8;
+  spec.workers = workers;
+  spec.duration_s = duration_s;
+  return spec;
+}
+
+// The overload cells: one interface paced at 200 Mb/s, 8 equal flows, the
+// generator offering twice its capacity in 1000-byte packets
+// (`--flows 8 --ifaces 1 --rate 200mbps --load-pps 50000`).
+constexpr double kOverloadCapacityBps = 200e6;
+constexpr double kOverload = 2.0;
+constexpr std::uint64_t kTargetP99Ns = 5'000'000;
+
+RunSpec overload_spec(double duration_s) {
+  RunSpec spec;
+  spec.flows = 8;
+  spec.ifaces = 1;
+  spec.rate_bps = kOverloadCapacityBps;
+  spec.load_pps = kOverload * kOverloadCapacityBps / (8.0 * 1000.0);
+  spec.duration_s = duration_s;
+  return spec;
+}
+
+/// Per-flow goodput over the settled window: the Jain index the shedding
+/// watermark is supposed to protect, and utilization of the paced link.
+struct Settled {
   double jain = 0;
   double utilization = 0;
-  std::uint64_t shed_drops = 0;
-  std::uint64_t tail_drops = 0;
   double duration_s = 0;
 };
 
-OverloadCell run_overload_cell(std::uint64_t shed_bytes, double overload,
-                               double duration_s) {
-  using namespace midrr;
-  using namespace midrr::rt;
-
-  constexpr std::size_t kFlows = 8;
-  const double capacity_bps = 200e6;
-  RuntimeOptions options;
-  options.shed_bytes = shed_bytes;
-  options.max_flows = kFlows;
-  Runtime runtime(options);
-  runtime.add_interface("if0", RateProfile(capacity_bps));
-  std::vector<FlowId> flows;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    RtFlowSpec spec;
-    spec.willing.push_back(0);
-    spec.name = "f" + std::to_string(i);
-    flows.push_back(runtime.control().add_flow(spec));
-  }
-  runtime.start();
-  LoadGeneratorOptions load;
-  load.packet_bytes = 1000;
-  load.rate_pps = overload * capacity_bps / (8.0 * 1000.0);
-  LoadGenerator generator(runtime, load);
-  generator.start();
-
-  // Warm up 25% of the budget, measure goodput over the rest.
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s / 4));
-  std::vector<std::uint64_t> before;
-  before.reserve(kFlows);
-  for (const FlowId f : flows) before.push_back(runtime.sent_bytes(f));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(duration_s * 3 / 4));
-  double sum = 0, sq = 0, total = 0;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    const double x =
-        static_cast<double>(runtime.sent_bytes(flows[i]) - before[i]);
-    sum += x;
-    sq += x * x;
-    total += x;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  generator.stop();
-  runtime.stop();
-
-  const RuntimeStats stats = runtime.stats();
-  OverloadCell cell;
-  cell.shed_bytes = shed_bytes;
-  cell.overload = overload;
-  cell.jain = sq > 0 ? sum * sum / (static_cast<double>(kFlows) * sq) : 1.0;
-  cell.utilization = total * 8.0 / elapsed / capacity_bps;
-  cell.shed_drops = stats.shed_drops;
-  cell.tail_drops = stats.tail_drops;
-  cell.duration_s = elapsed;
-  return cell;
+/// Warms up for a quarter of the run (the adaptive loop seeds its drain
+/// EWMA and converges), then measures goodput over the rest.  Flow ids are
+/// dense from 0 in registration order.
+RunSpec settled_window(RunSpec spec, Settled& out) {
+  spec.while_running = [&out, flows = spec.flows, warmup = spec.duration_s / 4](
+                           Runtime& rt, RunSpec::Clock::time_point deadline) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(warmup));
+    std::vector<std::uint64_t> before;
+    for (std::size_t i = 0; i < flows; ++i) {
+      before.push_back(rt.sent_bytes(static_cast<midrr::FlowId>(i)));
+    }
+    const auto t0 = RunSpec::Clock::now();
+    std::this_thread::sleep_until(deadline);
+    double sum = 0, sq = 0;
+    for (std::size_t i = 0; i < flows; ++i) {
+      const double x = static_cast<double>(
+          rt.sent_bytes(static_cast<midrr::FlowId>(i)) - before[i]);
+      sum += x;
+      sq += x * x;
+    }
+    out.duration_s =
+        std::chrono::duration<double>(RunSpec::Clock::now() - t0).count();
+    out.jain = sq > 0 ? sum * sum / (static_cast<double>(flows) * sq) : 1.0;
+    out.utilization = sum * 8.0 / out.duration_s / kOverloadCapacityBps;
+  };
+  return spec;
 }
 
-// Adaptive-shedding cell: the same 2x-overloaded topology, but instead of
-// a fixed watermark the operator states a p99 objective and the closed
-// loop (supervisor probes -> AdaptiveController -> shed watermark) derives
-// shed_bytes live from the measured drain rate.  Reports the watermark the
-// loop converged to, the windowed p99 it measured, and the same Jain /
-// utilization numbers as the fixed-watermark cells for comparison.
-struct AdaptiveCell {
-  std::uint64_t target_p99_ns = 0;
-  double overload = 0;
-  double jain = 0;
-  double utilization = 0;
-  std::uint64_t final_shed_bytes = 0;
-  double windowed_p99_ns = 0;
-  double correction = 0;
-  std::uint64_t retunes = 0;
-  std::uint64_t shed_engages = 0;
-  std::uint64_t shed_drops = 0;
-  std::uint64_t tail_drops = 0;
-  double duration_s = 0;
-};
-
-AdaptiveCell run_adaptive_cell(std::uint64_t target_p99_ns, double overload,
-                               double duration_s) {
-  using namespace midrr;
-  using namespace midrr::rt;
-
-  constexpr std::size_t kFlows = 8;
-  const double capacity_bps = 200e6;
-  RuntimeOptions options;
-  options.max_flows = kFlows;
-  options.stage_sample_every = 64;  // the loop's windowed p99 source
-  Runtime runtime(options);
-  runtime.add_interface("if0", RateProfile(capacity_bps));
-  std::vector<FlowId> flows;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    RtFlowSpec spec;
-    spec.willing.push_back(0);
-    spec.name = "f" + std::to_string(i);
-    flows.push_back(runtime.control().add_flow(spec));
-  }
-  runtime.start();
-
-  fault::Supervisor supervisor(runtime, fault::SupervisorOptions{}, &runtime);
-  fault::AdaptOptions aopts;
-  aopts.target_p99_ns = static_cast<SimDuration>(target_p99_ns);
-  fault::AdaptiveController adapt(runtime, aopts);
-  runtime.set_capacity_overlay(&adapt);
-  supervisor.set_adaptive(&adapt);
-  supervisor.start();
-
-  LoadGeneratorOptions load;
-  load.packet_bytes = 1000;
-  load.rate_pps = overload * capacity_bps / (8.0 * 1000.0);
-  LoadGenerator generator(runtime, load);
-  generator.start();
-
-  // Warm up 25% of the budget (lets the controller seed its drain EWMA
-  // and converge), measure goodput over the rest.
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s / 4));
-  std::vector<std::uint64_t> before;
-  before.reserve(kFlows);
-  for (const FlowId f : flows) before.push_back(runtime.sent_bytes(f));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(duration_s * 3 / 4));
-  double sum = 0, sq = 0, total = 0;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    const double x =
-        static_cast<double>(runtime.sent_bytes(flows[i]) - before[i]);
-    sum += x;
-    sq += x * x;
-    total += x;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  generator.stop();
-  supervisor.stop();
-  runtime.stop();
-
-  const RuntimeStats stats = runtime.stats();
-  AdaptiveCell cell;
-  cell.target_p99_ns = target_p99_ns;
-  cell.overload = overload;
-  cell.jain = sq > 0 ? sum * sum / (static_cast<double>(kFlows) * sq) : 1.0;
-  cell.utilization = total * 8.0 / elapsed / capacity_bps;
-  cell.final_shed_bytes = runtime.shed_bytes();
-  cell.windowed_p99_ns = adapt.windowed_p99_ns();
-  cell.correction = adapt.correction();
-  cell.retunes = adapt.retunes();
-  cell.shed_engages = adapt.shed_engages();
-  cell.shed_drops = stats.shed_drops;
-  cell.tail_drops = stats.tail_drops;
-  cell.duration_s = elapsed;
-  return cell;
-}
-
-// SLO burn cell: the 2x-overloaded paced topology with a deliberately
-// tight p99 objective bound to every class.  Under sustained overload the
-// queues hold packets for tens of milliseconds, so nearly every sampled
-// packet violates the target and the burn rate -- violating fraction over
-// the 1% error budget -- must land well above 1 (the paging threshold).
-// This is the end-to-end validation that tracer -> SLO plumbing fires
-// under real load, not just in unit tests.
-struct SloCell {
-  std::uint64_t target_ns = 0;
-  double overload = 0;
-  std::uint64_t samples = 0;
-  std::uint64_t violations = 0;
-  double burn_short = 0;
-  double burn_long = 0;
-  double duration_s = 0;
-};
-
-SloCell run_slo_cell(std::uint64_t target_ns, double overload,
-                     double duration_s) {
-  using namespace midrr;
-  using namespace midrr::rt;
-
-  constexpr std::size_t kFlows = 8;
-  const double capacity_bps = 200e6;
-  telemetry::SloEngine slo({{"bench", target_ns}}, kFlows);
-  RuntimeOptions options;
-  options.max_flows = kFlows;
-  options.stage_sample_every = 64;
-  options.slo = &slo;
-  Runtime runtime(options);
-  runtime.add_interface("if0", RateProfile(capacity_bps));
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    RtFlowSpec spec;
-    spec.willing.push_back(0);
-    spec.name = "f" + std::to_string(i);
-    runtime.control().add_flow(spec);
-  }
-  {
-    // Bind every interned class to the one declared objective, the same
-    // way midrr_rt binds after registration and before start().
-    auto reader = runtime.control().reader();
-    const auto guard = reader.lock();
-    for (const ClassId id : guard->live) slo.bind_class(id, "bench");
-  }
-  runtime.start();
-  LoadGeneratorOptions load;
-  load.packet_bytes = 1000;
-  load.rate_pps = overload * capacity_bps / (8.0 * 1000.0);
-  LoadGenerator generator(runtime, load);
-  const auto t0 = std::chrono::steady_clock::now();
-  generator.start();
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
-  generator.stop();
-  const std::uint64_t now = static_cast<std::uint64_t>(runtime.now_ns());
-  runtime.stop();
-
-  SloCell cell;
-  cell.target_ns = target_ns;
-  cell.overload = overload;
-  cell.samples = slo.samples(0);
-  cell.violations = slo.violations(0);
-  cell.burn_short = slo.short_burn(0, now);
-  cell.burn_long = slo.long_burn(0, now);
-  cell.duration_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return cell;
-}
-
-// Egress cell: the same unpaced 4-iface / 64-flow topology drained into
-// either the sim sink or real UDP sockets over loopback (destination
+// Egress cell: 4 unpaced interfaces, 64 flows, 2 workers, pooled payloads,
+// drained into the sim sink or real sockets over loopback (destination
 // ports nobody listens on -- the kernel pays the full loopback delivery
-// path and then drops, which is exactly the sendmmsg cost we want to
-// meter without a receiver skewing the box).  The udp cells sweep
-// UdpBackendOptions::max_batch to show syscall amortization: batch 1 is
-// one sendmmsg per packet, 256 is the deep-burst limit.  HONESTY NOTE:
-// loopback is not NIC-bound -- these numbers bound per-syscall and
-// serialization overhead, not wire throughput; a real NIC adds driver
-// rings, IRQ moderation, and line-rate ceilings the loopback path
-// never sees.
-struct EgressCell {
-  const char* backend = "sim";
-  std::size_t max_batch = 0;  // 0 = not applicable (sim/uring)
-  double pps = 0;
-  double p50_ns = 0;
-  double p99_ns = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t syscalls = 0;
-  std::uint64_t requeued = 0;
-  std::uint64_t io_drops = 0;
-  std::uint64_t peak_inflight = 0;  // uring: max sampled in-flight depth
-  std::uint64_t fixed_sends = 0;    // uring: zero-copy registered-buffer sends
-  std::uint64_t fallback_sends = 0; // uring: copying sendmsg sends
-  double duration_s = 0;
-};
-
-// kUring meters the SEND_ZC registered-buffer path; kUringCopy forces the
-// sendmsg-over-uring fallback (zerocopy=false).  On loopback the kernel
-// copies either way, so the copy cell isolates what SEND_ZC's second CQE
-// (buffer-release notification) costs when zero-copy cannot pay off.
-enum class EgressKind { kSim, kUdp, kUring, kUringCopy };
-
-EgressCell run_egress_cell(EgressKind kind, std::size_t max_batch,
-                           double duration_s) {
-  using namespace midrr;
-  using namespace midrr::rt;
-
-  constexpr std::size_t kIfaces = 4;
-  constexpr std::size_t kFlows = 64;
-  RuntimeOptions options;
-  options.workers = 2;
-  options.shards = 2;
-  options.producers = 1;
-  options.max_flows = kFlows;
+// path and then drops, which is exactly the send cost to meter without a
+// receiver skewing the box).  The udp cells sweep the sendmmsg batch cap:
+// batch 1 is one sendmmsg per packet, 256 the deep-burst limit.  HONESTY
+// NOTE: loopback is not NIC-bound -- these numbers bound per-syscall and
+// serialization overhead, not wire throughput.
+RunSpec egress_spec(const std::string& backend, std::size_t max_batch,
+                    double duration_s, std::uint64_t& peak_inflight) {
+  RunSpec spec;
+  spec.flows = 64;
+  spec.workers = 2;
+  spec.duration_s = duration_s;
+  spec.payload = PayloadMode::kPooled;  // real bytes on the wire
   // Deep dequeue bursts (4000 packets at 1000 B) so the PER-CALL caps --
-  // sendmmsg's max_batch vs one io_uring submit for the whole burst --
-  // are what bound syscall amortization, not the dequeue window itself.
-  // Identical across every cell of the sweep; only the backend varies.
-  options.burst_bytes = 4 * 1024 * 1024;
-  std::unique_ptr<io::EgressBackend> backend;
-  io::UringBackend* uring = nullptr;
-  if (kind == EgressKind::kUdp) {
-    io::UdpBackendOptions uopts;
-    uopts.base_port = 19800;  // unbound on purpose; see the note above
-    uopts.max_batch = max_batch;
-    backend = std::make_unique<io::UdpBackend>(uopts);
-    options.egress = backend.get();
-  } else if (kind == EgressKind::kUring || kind == EgressKind::kUringCopy) {
-    io::UringBackendOptions uopts;
-    uopts.base_port = 19800;
-    uopts.sq_entries = 4096;     // one submit swallows a whole deep burst
-    uopts.inflight_limit = 8192;
-    uopts.zerocopy = kind == EgressKind::kUring;
-    // Doorbell coalescing: let SQEs from several bursts share one
-    // io_uring_enter.  This is the knob the cell sweeps against sendmmsg's
-    // max_batch -- both bound how many packets one syscall can carry.  32
-    // quiet polls of headroom means the half-SQ threshold (2048 SQEs),
-    // not the idle trigger, is what usually rings the doorbell.
-    uopts.submit_coalesce_polls = 32;
-    auto owned = std::make_unique<io::UringBackend>(uopts);
-    uring = owned.get();
-    backend = std::move(owned);
-    options.egress = backend.get();
+  // sendmmsg's max_batch vs one io_uring submit for the whole burst -- are
+  // what bound syscall amortization, not the dequeue window itself.
+  spec.burst_bytes = 4 * 1024 * 1024;
+  spec.egress = backend == "uring-copy" ? "uring" : backend;
+  spec.udp.base_port = 19800;  // unbound on purpose; see the note above
+  spec.udp.max_batch = max_batch;
+  // uring: one submit swallows a whole deep burst, and doorbell coalescing
+  // lets SQEs from several bursts share one io_uring_enter -- the knob
+  // swept against sendmmsg's max_batch.  32 quiet polls of headroom means
+  // the half-SQ threshold (2048 SQEs), not the idle trigger, usually
+  // rings the doorbell.  "uring-copy" forces the sendmsg fallback: on
+  // loopback the kernel copies either way, so it isolates what SEND_ZC's
+  // notification CQE costs.
+  spec.uring.sq_entries = 4096;
+  spec.uring.inflight_limit = 8192;
+  spec.uring.submit_coalesce_polls = 32;
+  spec.uring.zerocopy = backend == "uring";
+  if (spec.egress == "uring") {
+    spec.pool.max_slabs = 32;  // 16k slots >> inflight_limit
   }
-  Runtime runtime(options);
-  for (std::size_t j = 0; j < kIfaces; ++j) {
-    runtime.add_interface("if" + std::to_string(j));
-  }
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    RtFlowSpec spec;
-    spec.willing.push_back(static_cast<IfaceId>(i % kIfaces));
-    spec.willing.push_back(static_cast<IfaceId>((i + 1) % kIfaces));
-    runtime.control().add_flow(spec);
-  }
-  runtime.start();
-  LoadGeneratorOptions load;
-  load.producers = 1;
-  load.packet_bytes = 1000;
-  load.payload = PayloadMode::kPooled;  // real bytes on the wire
-  if (uring != nullptr) {
-    // Slab-resident payloads with wire headroom: the cell meters the
-    // registered-buffer zero-copy path, not the copying fallback.
-    load.frame_headroom = io::kWireScratchBytes;
-    load.pool.precarve = true;
-    load.pool.max_slabs = 32;  // 16k slots >> inflight_limit
-  }
-  LoadGenerator generator(runtime, load);
-  if (kind == EgressKind::kUring) {  // copy cell: fallback path on purpose
-    for (std::size_t p = 0; p < load.producers; ++p) {
-      if (const net::FramePool* pool = generator.frame_pool(p)) {
-        uring->register_frame_pool(*pool);
-      }
-    }
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  generator.start();
-  // Sample in-flight depth while the load runs (uring only; the gauge is
-  // scrape-rate safe) instead of sleeping blind.
-  std::uint64_t peak_inflight = 0;
-  const auto deadline = t0 + std::chrono::duration<double>(duration_s);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (uring != nullptr) {
+  // Sample the in-flight depth while the load runs.
+  spec.while_running = [&peak_inflight, ifaces = spec.ifaces](
+                           Runtime& rt, RunSpec::Clock::time_point deadline) {
+    while (RunSpec::Clock::now() < deadline) {
       std::uint64_t inflight = 0;
-      for (std::size_t j = 0; j < kIfaces; ++j) {
-        inflight += uring->inflight_packets(static_cast<IfaceId>(j));
+      for (std::size_t j = 0; j < ifaces; ++j) {
+        const auto id = static_cast<midrr::IfaceId>(j);
+        inflight += rt.egress().inflight_packets(id);
       }
       peak_inflight = std::max(peak_inflight, inflight);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  generator.stop();
-  runtime.stop();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  };
+  return spec;
+}
 
-  const RuntimeStats stats = runtime.stats();
-  EgressCell cell;
-  cell.backend = kind == EgressKind::kSim         ? "sim"
-                 : kind == EgressKind::kUdp       ? "udp"
-                 : kind == EgressKind::kUring     ? "uring"
-                                                  : "uring-copy";
-  cell.max_batch = kind == EgressKind::kUdp ? max_batch : 0;
-  cell.sent = stats.sent;
-  cell.syscalls = stats.io_syscalls;
-  cell.requeued = stats.io_requeued;
-  cell.io_drops = stats.io_drops;
-  cell.peak_inflight = peak_inflight;
-  if (uring != nullptr) {
-    for (std::size_t j = 0; j < kIfaces; ++j) {
-      cell.fixed_sends += uring->fixed_sends(static_cast<IfaceId>(j));
-      cell.fallback_sends += uring->fallback_sends(static_cast<IfaceId>(j));
-    }
-  }
-  cell.duration_s = elapsed;
-  cell.pps = static_cast<double>(stats.sent) / elapsed;
-  cell.p50_ns = stats.latency_p50_ns;
-  cell.p99_ns = stats.latency_p99_ns;
-  return cell;
+/// The egress cell's label: the backend, "uring-copy" without SEND_ZC.
+std::string egress_label(const RunSpec& spec) {
+  return spec.egress == "uring" && !spec.uring.zerocopy ? "uring-copy"
+                                                        : spec.egress;
 }
 
 // Million-flow scale cell: flows register in classes of `flows_per_class`
@@ -680,10 +303,20 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
   return cell;
 }
 
-void emit_cell_common(midrr::JsonWriter& w, const Cell& c) {
-  w.field("pps", c.pps).field("dequeued", c.dequeued);
-  w.field("duration_s", c.duration_s).field("latency_p50_ns", c.p50_ns);
-  w.field("latency_p99_ns", c.p99_ns);
+void emit_cell_common(midrr::JsonWriter& w, const RunReport& r) {
+  w.field("pps", pps(r, r.stats.dequeued)).field("dequeued", r.stats.dequeued);
+  w.field("duration_s", r.duration_s);
+  w.field("latency_p50_ns", r.stats.latency_p50_ns);
+  w.field("latency_p99_ns", r.stats.latency_p99_ns);
+}
+
+RunReport run_logged(const RunSpec& spec, const std::string& label) {
+  std::cerr << "rt_throughput: " << label << "..." << std::flush;
+  RunReport r = midrr::rt::run(spec);
+  std::cerr << " " << pps(r, r.stats.dequeued) / 1e6 << " Mpps, p50 "
+            << r.stats.latency_p50_ns / 1e3 << " us, p99 "
+            << r.stats.latency_p99_ns / 1e3 << " us\n";
+  return r;
 }
 
 }  // namespace
@@ -705,169 +338,110 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<std::size_t> flow_counts = scale_only
-                                                   ? std::vector<std::size_t>{}
-                                                   : std::vector<std::size_t>{
-                                                         256, 1024};
-  const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
-
-  std::vector<Cell> cells;
-  for (const std::size_t flows : flow_counts) {
-    for (const std::size_t workers : worker_counts) {
-      for (const bool telemetry : {false, true}) {
-        std::cerr << "rt_throughput: " << flows << " flows, " << workers
-                  << " workers, telemetry " << (telemetry ? "on" : "off")
+  std::vector<RunReport> cells, batch_cells, payload_cells, attribution_cells;
+  std::vector<RunReport> slo_cells;
+  std::vector<std::pair<RunReport, Settled>> overload_cells, adaptive_cells;
+  std::vector<std::pair<RunReport, std::uint64_t>> egress_cells;
+  try {
+    if (!scale_only) {
+      for (const std::size_t flows : {std::size_t{256}, std::size_t{1024}}) {
+        for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+          for (const bool telemetry : {false, true}) {
+            RunSpec spec = sweep_spec(flows, workers, duration_s);
+            if (telemetry) spec.telemetry_port = 0;
+            cells.push_back(run_logged(
+                spec, std::to_string(flows) + " flows, " +
+                          std::to_string(workers) + " workers, telemetry " +
+                          (telemetry ? "on" : "off")));
+          }
+        }
+      }
+      // Fan-in batch sweep: how RuntimeOptions::fanin_batch trades
+      // shard-lock/wakeup amortization against burstiness.
+      for (const std::size_t batch : {128u, 256u, 512u, 1024u, 2048u}) {
+        RunSpec spec = sweep_spec(256, 1, duration_s);
+        spec.fanin_batch = batch;
+        batch_cells.push_back(
+            run_logged(spec, "fanin_batch " + std::to_string(batch)));
+      }
+      // Payload sweep: what real payload bytes cost, and the pool's share.
+      for (const PayloadMode mode :
+           {PayloadMode::kNone, PayloadMode::kHeap, PayloadMode::kPooled}) {
+        RunSpec spec = sweep_spec(256, 1, duration_s);
+        spec.payload = mode;
+        payload_cells.push_back(
+            run_logged(spec, std::string("payload ") + payload_name(mode)));
+      }
+      // Latency attribution: stage tracing off vs 1-in-64 sampling.
+      for (const std::uint64_t sample : {0u, 64u}) {
+        RunSpec spec = sweep_spec(256, 1, duration_s);
+        spec.stage_sample = sample;
+        attribution_cells.push_back(
+            run_logged(spec, "stage_sample " + std::to_string(sample)));
+      }
+      // SLO burn under sustained 2x overload: a 5 ms p99 objective against
+      // ~20 ms queue residence must burn far above 1 on both windows.  The
+      // 8 equal flows intern into one class, named after its first member.
+      {
+        RunSpec spec = overload_spec(duration_s);
+        spec.slo = {"class=f0:p99_ms=5"};
+        slo_cells.push_back(run_logged(spec, "slo burn, 2x overload"));
+      }
+      // Overload shedding: the fan-in watermark off and on.  "Off" still
+      // has per-flow queue caps (tail drops); "on" sheds weight-aware at
+      // fan-in and must hold Jain >= 0.9.
+      for (const std::uint64_t shed : {0u, 262144u}) {
+        Settled settled;
+        RunSpec spec = overload_spec(duration_s);
+        spec.shed_bytes = shed;
+        RunReport r = run_logged(settled_window(spec, settled),
+                                 "2x overload, shed_bytes " +
+                                     std::to_string(shed));
+        overload_cells.emplace_back(std::move(r), settled);
+      }
+      // Adaptive shedding: the watermark derived live from measured drain
+      // rate + a 5 ms p99 objective instead of a fixed byte count.
+      {
+        Settled settled;
+        RunSpec spec = overload_spec(duration_s);
+        spec.supervise = true;
+        spec.shed_target_p99_ms = static_cast<double>(kTargetP99Ns) / 1e6;
+        RunReport r = run_logged(settled_window(spec, settled),
+                                 "2x overload, adaptive shed");
+        adaptive_cells.emplace_back(std::move(r), settled);
+      }
+      // Egress backends.  io_uring is skipped VISIBLY when the build or
+      // kernel lacks it -- a silent skip would read as "not faster"
+      // instead of "not measured".
+      std::vector<std::pair<std::string, std::size_t>> egress = {
+          {"sim", 0}, {"udp", 1}, {"udp", 32}, {"udp", 256}};
+      if (!midrr::io::uring_supported()) {
+        std::cerr << "rt_throughput: egress uring SKIPPED (built without "
+                     "-DMIDRR_WITH_URING=ON)\n";
+      } else if (int probe_errno = 0;
+                 !midrr::io::uring_runtime_available(&probe_errno)) {
+        std::cerr << "rt_throughput: egress uring SKIPPED (kernel denies "
+                     "io_uring_setup: "
+                  << std::strerror(probe_errno) << ")\n";
+      } else {
+        egress.emplace_back("uring", 0);
+        egress.emplace_back("uring-copy", 0);
+      }
+      for (const auto& [backend, batch] : egress) {
+        std::uint64_t peak_inflight = 0;
+        std::cerr << "rt_throughput: egress " << backend << " " << batch
                   << "..." << std::flush;
-        const Cell cell = run_cell(flows, workers, duration_s, telemetry);
-        std::cerr << " " << cell.pps / 1e6 << " Mpps, p50 "
-                  << cell.p50_ns / 1e3 << " us, p99 " << cell.p99_ns / 1e3
-                  << " us\n";
-        cells.push_back(cell);
+        const RunReport r = midrr::rt::run(
+            egress_spec(backend, batch, duration_s, peak_inflight));
+        std::cerr << " " << pps(r, r.stats.sent) / 1e6 << " Mpps, "
+                  << pkts_per_syscall(r) << " pkts/syscall, peak inflight "
+                  << peak_inflight << "\n";
+        egress_cells.emplace_back(r, peak_inflight);
       }
     }
-  }
-
-  // Fan-in batch sweep: single worker, 256 flows, telemetry off.
-  const std::vector<std::size_t> batch_sizes =
-      scale_only ? std::vector<std::size_t>{}
-                 : std::vector<std::size_t>{128, 256, 512, 1024, 2048};
-  std::vector<Cell> batch_cells;
-  for (const std::size_t batch : batch_sizes) {
-    std::cerr << "rt_throughput: fanin_batch " << batch << "..." << std::flush;
-    const Cell cell = run_cell(256, 1, duration_s, false, batch);
-    std::cerr << " " << cell.pps / 1e6 << " Mpps, p99 " << cell.p99_ns / 1e3
-              << " us\n";
-    batch_cells.push_back(cell);
-  }
-
-  // Payload sweep: what real payload bytes cost, and the pool's share.
-  std::vector<Cell> payload_cells;
-  if (!scale_only) {
-    for (const PayloadMode mode :
-         {PayloadMode::kNone, PayloadMode::kHeap, PayloadMode::kPooled}) {
-      std::cerr << "rt_throughput: payload " << payload_name(mode) << "..."
-                << std::flush;
-      const Cell cell = run_cell(256, 1, duration_s, false, 0, mode);
-      std::cerr << " " << cell.pps / 1e6 << " Mpps\n";
-      payload_cells.push_back(cell);
-    }
-  }
-
-  // Latency attribution: the single-worker cell with stage tracing off
-  // vs the default 1-in-64 sampling.  The pps ratio is the tracing
-  // overhead (budget >= 0.95); the traced cell carries the per-stage
-  // breakdown so the bench output doubles as a worked example.
-  std::vector<Cell> attribution_cells;
-  if (!scale_only) {
-    for (const std::uint32_t sample : {0u, 64u}) {
-      std::cerr << "rt_throughput: stage_sample " << sample << "..."
-                << std::flush;
-      const Cell cell = run_cell(256, 1, duration_s, false, 0,
-                                 PayloadMode::kNone, sample);
-      std::cerr << " " << cell.pps / 1e6 << " Mpps";
-      if (sample > 0) {
-        std::cerr << ", " << cell.trace_completed << " samples, e2e p99 "
-                  << cell.e2e.p99_ns / 1e3 << " us";
-      }
-      std::cerr << "\n";
-      attribution_cells.push_back(cell);
-    }
-  }
-
-  // SLO burn under sustained 2x overload: a 5 ms p99 objective against
-  // ~20 ms queue residence must burn far above 1 on both windows.
-  std::vector<SloCell> slo_cells;
-  if (!scale_only) {
-    std::cerr << "rt_throughput: slo burn, 2x overload, p99 target 5 ms..."
-              << std::flush;
-    slo_cells.push_back(run_slo_cell(5'000'000, 2.0, duration_s));
-    std::cerr << " burn short " << slo_cells.back().burn_short << " / long "
-              << slo_cells.back().burn_long << " ("
-              << slo_cells.back().violations << "/"
-              << slo_cells.back().samples << " violations)\n";
-  }
-
-  // Overload shedding: the same 2x-overloaded cell with the fan-in
-  // watermark off and on.  "Off" still has per-flow queue caps (tail
-  // drops); "on" sheds weight-aware at fan-in and must hold Jain >= 0.9.
-  std::vector<OverloadCell> overload_cells;
-  if (!scale_only) {
-    for (const std::uint64_t shed :
-         {std::uint64_t{0}, std::uint64_t{262144}}) {
-      std::cerr << "rt_throughput: 2x overload, shed_bytes " << shed << "..."
-                << std::flush;
-      const OverloadCell cell = run_overload_cell(shed, 2.0, duration_s);
-      std::cerr << " jain " << cell.jain << ", utilization "
-                << cell.utilization << "\n";
-      overload_cells.push_back(cell);
-    }
-  }
-
-  // Adaptive shedding: same overload, but the watermark is derived live
-  // from measured drain rate + a 5 ms p99 objective instead of a fixed
-  // byte count.  Comparable Jain / utilization to the fixed cells above.
-  std::vector<AdaptiveCell> adaptive_cells;
-  if (!scale_only) {
-    std::cerr << "rt_throughput: 2x overload, adaptive shed (target p99 5 "
-                 "ms)..."
-              << std::flush;
-    const AdaptiveCell cell = run_adaptive_cell(5'000'000, 2.0, duration_s);
-    std::cerr << " jain " << cell.jain << ", utilization " << cell.utilization
-              << ", shed_bytes -> " << cell.final_shed_bytes << " ("
-              << cell.retunes << " retunes)\n";
-    adaptive_cells.push_back(cell);
-  }
-
-  // Egress backend sweep: sim sink vs real UDP sockets over loopback,
-  // with the udp cells sweeping the sendmmsg batch cap.
-  std::vector<EgressCell> egress_cells;
-  if (!scale_only) {
-    egress_cells.push_back(run_egress_cell(EgressKind::kSim, 0, duration_s));
-    std::cerr << "rt_throughput: egress sim... "
-              << egress_cells.back().pps / 1e6 << " Mpps\n";
-    for (const std::size_t batch :
-         {std::size_t{1}, std::size_t{32}, std::size_t{256}}) {
-      std::cerr << "rt_throughput: egress udp, batch " << batch << "..."
-                << std::flush;
-      const EgressCell cell =
-          run_egress_cell(EgressKind::kUdp, batch, duration_s);
-      std::cerr << " " << cell.pps / 1e6 << " Mpps, "
-                << (cell.syscalls > 0
-                        ? static_cast<double>(cell.sent) /
-                              static_cast<double>(cell.syscalls)
-                        : 0)
-                << " pkts/syscall\n";
-      egress_cells.push_back(cell);
-    }
-    // io_uring cell: same topology and burst depth, one submit per burst.
-    // Skipped VISIBLY when the build or kernel lacks io_uring -- a silent
-    // skip would read as "not faster" instead of "not measured".
-    if (!midrr::io::uring_supported()) {
-      std::cerr << "rt_throughput: egress uring SKIPPED (built without "
-                   "-DMIDRR_WITH_URING=ON)\n";
-    } else if (int probe_errno = 0;
-               !midrr::io::uring_runtime_available(&probe_errno)) {
-      std::cerr << "rt_throughput: egress uring SKIPPED (kernel denies "
-                   "io_uring_setup: "
-                << std::strerror(probe_errno) << ")\n";
-    } else {
-      for (const EgressKind kind :
-           {EgressKind::kUring, EgressKind::kUringCopy}) {
-        const char* label =
-            kind == EgressKind::kUring ? "uring" : "uring-copy";
-        std::cerr << "rt_throughput: egress " << label << "..." << std::flush;
-        const EgressCell cell = run_egress_cell(kind, 0, duration_s);
-        std::cerr << " " << cell.pps / 1e6 << " Mpps, "
-                  << (cell.syscalls > 0
-                          ? static_cast<double>(cell.sent) /
-                                static_cast<double>(cell.syscalls)
-                          : 0)
-                  << " pkts/syscall, peak inflight " << cell.peak_inflight
-                  << ", " << cell.fixed_sends << " zero-copy / "
-                  << cell.fallback_sends << " fallback sends\n";
-        egress_cells.push_back(cell);
-      }
-    }
+  } catch (const std::exception& e) {
+    std::cerr << "\nerror: " << e.what() << "\n";
+    return 1;
   }
 
   // Class-aggregation scale sweep: same 1000 classes at 10k and 1M flows.
@@ -897,35 +471,36 @@ int main(int argc, char** argv) {
           "pps scaling across workers requires as many free cores; on a "
           "1-core host the sweep measures overhead, not speedup");
   w.key("cells").begin_array();
-  for (const Cell& c : cells) {
-    w.begin_object().field("flows", c.flows).field("workers", c.workers);
-    w.field("telemetry", c.telemetry);
+  for (const RunReport& c : cells) {
+    w.begin_object().field("flows", c.spec.flows);
+    w.field("workers", c.spec.workers);
+    w.field("telemetry", c.spec.telemetry_port >= 0);
     emit_cell_common(w, c);
     w.end_object();
   }
   // Adjacent off/on pairs share a configuration; their ratio isolates the
-  // metrics hot-path cost (relaxed atomic bumps in the observer + workers).
+  // metrics cost (relaxed atomic bumps in the observer + workers).
   w.end_array().key("telemetry_overhead").begin_array();
   for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {
-    const Cell& off = cells[i];
-    const Cell& on = cells[i + 1];
-    if (off.telemetry || !on.telemetry) continue;  // defensive: expect pairs
-    w.begin_object().field("flows", off.flows).field("workers", off.workers);
-    w.field("pps_off", off.pps).field("pps_on", on.pps);
-    w.field("on_over_off", off.pps > 0 ? on.pps / off.pps : 0.0);
+    const double off = pps(cells[i], cells[i].stats.dequeued);
+    const double on = pps(cells[i + 1], cells[i + 1].stats.dequeued);
+    w.begin_object().field("flows", cells[i].spec.flows);
+    w.field("workers", cells[i].spec.workers);
+    w.field("pps_off", off).field("pps_on", on);
+    w.field("on_over_off", off > 0 ? on / off : 0.0);
     w.end_object();
   }
   w.end_array().key("fanin_batch_sweep").begin_array();
-  for (const Cell& c : batch_cells) {
-    w.begin_object().field("fanin_batch", c.fanin_batch);
+  for (const RunReport& c : batch_cells) {
+    w.begin_object().field("fanin_batch", c.spec.fanin_batch);
     emit_cell_common(w, c);
     w.end_object();
   }
   w.end_array().key("payload_sweep").begin_array();
-  for (const Cell& c : payload_cells) {
-    w.begin_object().field("payload", payload_name(c.payload));
+  for (const RunReport& c : payload_cells) {
+    w.begin_object().field("payload", payload_name(c.spec.payload));
     emit_cell_common(w, c);
-    if (c.payload == PayloadMode::kPooled) {
+    if (c.spec.payload == PayloadMode::kPooled) {
       w.key("pool").begin_object().field("slabs", c.pool.slabs);
       w.field("acquired", c.pool.acquired);
       w.field("released", c.pool.released).field("misses", c.pool.misses);
@@ -934,70 +509,81 @@ int main(int argc, char** argv) {
     }
     w.end_object();
   }
-  // Tracing off vs 1-in-64 at the same configuration; traced_over_base is
-  // the number the <= 5% overhead budget bounds in CI.
+  // Tracing off vs 1-in-64 at the same configuration.  No gate bounds
+  // traced_over_base yet: CI runs only --scale-only.
   w.end_array().key("latency_attribution");
-  if (attribution_cells.size() == 2) {
-    const Cell& base = attribution_cells[0];
-    const Cell& traced = attribution_cells[1];
-    w.begin_object().field("sample_every", traced.stage_sample);
-    w.field("pps_base", base.pps).field("pps_traced", traced.pps);
-    w.field("traced_over_base", base.pps > 0 ? traced.pps / base.pps : 0.0);
-    w.key("trace").begin_object().field("started", traced.trace_started);
-    w.field("completed", traced.trace_completed);
-    w.field("lost", traced.trace_lost);
-    w.field("dropped", traced.trace_dropped).end_object();
-    w.field("reconciliation_error", traced.reconciliation_error);
+  if (attribution_cells.size() == 2 && attribution_cells[1].stage) {
+    const RunReport& base = attribution_cells[0];
+    const RunReport& traced = attribution_cells[1];
+    const midrr::rt::StageReport& st = *traced.stage;
+    const double pps_base = pps(base, base.stats.dequeued);
+    const double pps_traced = pps(traced, traced.stats.dequeued);
+    w.begin_object().field("sample_every", st.sample_every);
+    w.field("pps_base", pps_base).field("pps_traced", pps_traced);
+    w.field("traced_over_base", pps_base > 0 ? pps_traced / pps_base : 0.0);
+    w.key("trace").begin_object().field("started", st.started);
+    w.field("completed", st.completed).field("lost", st.lost);
+    w.field("dropped", st.dropped).end_object();
+    w.field("reconciliation_error", st.reconciliation_error);
     w.key("stages").begin_array();
     for (std::size_t s = 0; s < midrr::telemetry::kStageCount; ++s) {
       w.begin_object().field(
           "stage", midrr::telemetry::to_string(
                        static_cast<midrr::telemetry::Stage>(s)));
-      w.field("p50_ns", traced.stages[s].p50_ns);
-      w.field("p99_ns", traced.stages[s].p99_ns).end_object();
+      w.field("p50_ns", st.p50_ns[s]).field("p99_ns", st.p99_ns[s]);
+      w.end_object();
     }
     w.end_array().key("e2e").begin_object();
-    w.field("p50_ns", traced.e2e.p50_ns).field("p99_ns", traced.e2e.p99_ns);
+    w.field("p50_ns", st.e2e_p50_ns).field("p99_ns", st.e2e_p99_ns);
     w.end_object().end_object();
   } else {
     w.raw("null");
   }
   w.key("slo_burn");
   if (!slo_cells.empty()) {
-    const SloCell& c = slo_cells.front();
-    w.begin_object().field("target_p99_ns", c.target_ns);
-    w.field("overload", c.overload).field("samples", c.samples);
-    w.field("violations", c.violations).field("burn_short", c.burn_short);
-    w.field("burn_long", c.burn_long).field("duration_s", c.duration_s);
-    w.end_object();
+    const RunReport& c = slo_cells.front();
+    const midrr::JsonValue doc = midrr::JsonValue::parse(c.slo_json);
+    const midrr::JsonValue& row = doc.find("slos")->as_array().at(0);
+    const auto count = [&row](const char* key) {
+      return static_cast<std::uint64_t>(row.find(key)->as_number());
+    };
+    w.begin_object().field("target_p99_ns", kTargetP99Ns);
+    w.field("overload", kOverload).field("samples", count("samples"));
+    w.field("violations", count("violations"));
+    w.field("burn_short", row.find("burn_short")->as_number());
+    w.field("burn_long", row.find("burn_long")->as_number());
+    w.field("duration_s", c.duration_s).end_object();
   } else {
     w.raw("null");
   }
   w.key("overload_shedding").begin_array();
-  for (const OverloadCell& c : overload_cells) {
-    w.begin_object().field("shed_bytes", c.shed_bytes);
-    w.field("overload", c.overload).field("jain", c.jain);
-    w.field("utilization", c.utilization).field("shed_drops", c.shed_drops);
-    w.field("tail_drops", c.tail_drops).field("duration_s", c.duration_s);
-    w.end_object();
+  for (const auto& [r, settled] : overload_cells) {
+    w.begin_object().field("shed_bytes", r.spec.shed_bytes);
+    w.field("overload", kOverload).field("jain", settled.jain);
+    w.field("utilization", settled.utilization);
+    w.field("shed_drops", r.stats.shed_drops);
+    w.field("tail_drops", r.stats.tail_drops);
+    w.field("duration_s", settled.duration_s).end_object();
   }
   w.end_array().key("adaptive_shedding");
-  if (!adaptive_cells.empty()) {
-    const AdaptiveCell& c = adaptive_cells.front();
-    w.begin_object().field("target_p99_ns", c.target_p99_ns);
-    w.field("overload", c.overload).field("jain", c.jain);
-    w.field("utilization", c.utilization);
-    w.field("final_shed_bytes", c.final_shed_bytes);
-    w.field("windowed_p99_ns", c.windowed_p99_ns);
-    w.field("correction", c.correction).field("retunes", c.retunes);
-    w.field("shed_engages", c.shed_engages).field("shed_drops", c.shed_drops);
-    w.field("tail_drops", c.tail_drops).field("duration_s", c.duration_s);
-    w.end_object();
+  if (!adaptive_cells.empty() && adaptive_cells.front().first.adapt) {
+    const auto& [r, settled] = adaptive_cells.front();
+    const midrr::rt::AdaptReport& a = *r.adapt;
+    w.begin_object().field("target_p99_ns", kTargetP99Ns);
+    w.field("overload", kOverload).field("jain", settled.jain);
+    w.field("utilization", settled.utilization);
+    w.field("final_shed_bytes", a.shed_bytes);
+    w.field("windowed_p99_ns", a.windowed_p99_ns);
+    w.field("correction", a.correction).field("retunes", a.retunes);
+    w.field("shed_engages", a.shed_engages);
+    w.field("shed_drops", r.stats.shed_drops);
+    w.field("tail_drops", r.stats.tail_drops);
+    w.field("duration_s", settled.duration_s).end_object();
   } else {
     w.raw("null");
   }
-  // Sim vs loopback-UDP egress.  The note travels with the data because
-  // these cells are easy to misread as a NIC throughput claim.
+  // The note travels with the data because these cells are easy to
+  // misread as a NIC throughput claim.
   w.field("egress_sweep_note",
           "loopback is not NIC-bound: udp and uring cells meter "
           "serialization overhead and syscall amortization (sendmmsg "
@@ -1008,22 +594,22 @@ int main(int argc, char** argv) {
           "pps vs sendmmsg), so uring-copy (sendmsg fallback, one CQE per "
           "packet) isolates the notification cost");
   w.key("egress_sweep").begin_array();
-  for (const EgressCell& c : egress_cells) {
-    w.begin_object().field("backend", c.backend);
-    if (c.max_batch != 0) w.field("max_batch", c.max_batch);
-    w.field("pps", c.pps).field("sent", c.sent).field("syscalls", c.syscalls);
-    w.field("pkts_per_syscall",
-            c.syscalls > 0 ? static_cast<double>(c.sent) /
-                                 static_cast<double>(c.syscalls)
-                           : 0.0);
-    w.field("io_requeued", c.requeued).field("io_drops", c.io_drops);
-    if (std::string(c.backend).rfind("uring", 0) == 0) {
-      w.field("peak_inflight", c.peak_inflight);
-      w.field("fixed_sends", c.fixed_sends);
-      w.field("fallback_sends", c.fallback_sends);
+  for (const auto& [r, peak_inflight] : egress_cells) {
+    w.begin_object().field("backend", egress_label(r.spec));
+    if (r.spec.egress == "udp") w.field("max_batch", r.spec.udp.max_batch);
+    w.field("pps", pps(r, r.stats.sent)).field("sent", r.stats.sent);
+    w.field("syscalls", r.stats.io_syscalls);
+    w.field("pkts_per_syscall", pkts_per_syscall(r));
+    w.field("io_requeued", r.stats.io_requeued);
+    w.field("io_drops", r.stats.io_drops);
+    if (r.uring) {
+      w.field("peak_inflight", peak_inflight);
+      w.field("fixed_sends", r.uring->fixed_sends);
+      w.field("fallback_sends", r.uring->fallback_sends);
     }
-    w.field("latency_p50_ns", c.p50_ns).field("latency_p99_ns", c.p99_ns);
-    w.field("duration_s", c.duration_s).end_object();
+    w.field("latency_p50_ns", r.stats.latency_p50_ns);
+    w.field("latency_p99_ns", r.stats.latency_p99_ns);
+    w.field("duration_s", r.duration_s).end_object();
   }
   // Equal class counts at 100x different flow counts: the publish-latency
   // ratio is the evidence that control-plane cost tracks classes, not

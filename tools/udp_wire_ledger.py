@@ -45,8 +45,7 @@ def main():
             [args.rt, "--egress", "udp", "--udp-base-port", port,
              "--flows", "8", "--ifaces", "4", "--workers", "2",
              "--rate", "20mbps", "--payload", "pooled",
-             "--stage-sample", "64", "--duration", str(args.seconds),
-             "--json"],
+             "--stage-sample", "64", "--duration", str(args.seconds)],
             stdout=subprocess.PIPE, text=True, check=True)
         received, _ = rx.communicate(timeout=60)
     finally:
