@@ -50,7 +50,8 @@ Instance random_instance(std::uint64_t seed) {
     const double w = wc[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     inst.input.weights.push_back(w);
     inst.input.willing.push_back(row);
-    inst.scenario.backlogged_flow("f" + std::to_string(i), w, willing);
+    inst.scenario.backlogged_flow(std::string("f").append(std::to_string(i)),
+                                  w, willing);
   }
   inst.input.weights.push_back(1.0);
   inst.input.willing.emplace_back(m, true);

@@ -66,8 +66,9 @@ Built build_scenario(SimTime horizon) {
     // (the two links sum to 9 Mb/s, so peaks overload the system).
     const auto volume = static_cast<std::uint64_t>(
         std::max(10'000.0, to_seconds(session.duration) * 2.5e6 / 8.0));
-    built.scenario.backlogged_flow("s" + std::to_string(index), weight,
-                                   ifaces, volume, 1500, session.start);
+    built.scenario.backlogged_flow(
+        std::string("s").append(std::to_string(index)), weight, ifaces, volume,
+        1500, session.start);
     ++index;
   }
   return built;

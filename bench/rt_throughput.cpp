@@ -250,7 +250,7 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
     const std::size_t batch = std::min(flows_per_class, flows - i);
     const std::size_t group = i / flows_per_class;
     ClassSpec spec;
-    spec.name = "c" + std::to_string(group);
+    spec.name = std::string("c").append(std::to_string(group));
     spec.willing.push_back(static_cast<IfaceId>(group % kIfaces));
     spec.willing.push_back(static_cast<IfaceId>((group + 1) % kIfaces));
     // Classes intern by (weight, willing, queue capacity); a per-group

@@ -35,7 +35,8 @@ void run_point(const SweepPoint& p, SimDuration burst_opportunity,
       if (rng.coin(0.5)) willing.push_back(iface_names[j]);
     }
     if (willing.empty()) willing.push_back(iface_names[i % p.ifaces]);
-    sc.backlogged_flow("f" + std::to_string(i), 1.0, willing);
+    sc.backlogged_flow(std::string("f").append(std::to_string(i)), 1.0,
+                       willing);
   }
 
   const SimTime sim_duration = 20 * kSecond;

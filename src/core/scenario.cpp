@@ -304,6 +304,16 @@ void ScenarioRunner::snapshot_clusters() {
   cluster_log_.push_back(std::move(snap));
 }
 
+void ScenarioRunner::sample_tick() {
+  sample_rates();
+  sim_.schedule_in(options_.sample_interval, [this] { sample_tick(); });
+}
+
+void ScenarioRunner::cluster_tick() {
+  snapshot_clusters();
+  sim_.schedule_in(options_.cluster_interval, [this] { cluster_tick(); });
+}
+
 ScenarioResult ScenarioRunner::run(SimTime until) {
   // run() is incremental: the first call arms flow starts and the periodic
   // samplers; later calls simply extend the horizon (tests use this to
@@ -322,20 +332,9 @@ ScenarioResult ScenarioRunner::run(SimTime until) {
 
     // Periodic sampling; self-rescheduling events.  The samplers reschedule
     // unconditionally; run_until() simply leaves future ticks pending.
-    auto sampler = std::make_shared<std::function<void()>>();
-    *sampler = [this, sampler] {
-      sample_rates();
-      sim_.schedule_in(options_.sample_interval, *sampler);
-    };
-    sim_.schedule_in(options_.sample_interval, *sampler);
-
+    sim_.schedule_in(options_.sample_interval, [this] { sample_tick(); });
     if (options_.cluster_interval > 0) {
-      auto cluster_sampler = std::make_shared<std::function<void()>>();
-      *cluster_sampler = [this, cluster_sampler] {
-        snapshot_clusters();
-        sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
-      };
-      sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
+      sim_.schedule_in(options_.cluster_interval, [this] { cluster_tick(); });
     }
   }
 

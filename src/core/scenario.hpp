@@ -160,6 +160,9 @@ class ScenarioRunner {
   void on_departure(IfaceId iface, const Packet& packet, SimTime at);
   void sample_rates();
   void snapshot_clusters();
+  // Sample, then schedule the next tick.
+  void sample_tick();
+  void cluster_tick();
   fair::MaxMinInput current_input() const;
 
   const Scenario& scenario_;

@@ -178,8 +178,11 @@ std::string format_clusters(const ClusterAnalysis& analysis,
     for (std::size_t k = 0; k < c.flows.size(); ++k) {
       if (k > 0) out << ',';
       const std::size_t i = c.flows[k];
-      out << (i < flow_names.size() ? flow_names[i]
-                                    : "f" + std::to_string(i));
+      if (i < flow_names.size()) {
+        out << flow_names[i];
+      } else {
+        out << 'f' << i;
+      }
     }
     out << " | ";
     for (std::size_t k = 0; k < c.ifaces.size(); ++k) {

@@ -134,26 +134,9 @@ double AdaptiveController::windowed_p99(SimTime now) {
     total += cur_e2e_[i];
   }
   if (total < options_.min_window_samples) return -1.0;
-  // Same estimator as LatencyHistogram::quantile, over the window's
-  // bucket-count deltas (cumulative grids cannot be reset in place).
-  const double rank = 0.99 * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < cur_e2e_.size(); ++i) {
-    if (cur_e2e_[i] == 0) continue;
-    if (static_cast<double>(seen + cur_e2e_[i]) >= rank) {
-      const double lo = LatencyHistogram::lower_bound(i);
-      if (i < (std::size_t{1} << (LatencyHistogram::kSubBits + 1))) {
-        return lo;  // exact region
-      }
-      const double width = LatencyHistogram::upper_bound(i) - lo + 1.0;
-      double into = (rank - static_cast<double>(seen)) /
-                    static_cast<double>(cur_e2e_[i]);
-      into = std::clamp(into, 0.0, 1.0);
-      return lo + width * into;
-    }
-    seen += cur_e2e_[i];
-  }
-  return LatencyHistogram::upper_bound(cur_e2e_.size() - 1);
+  // Cumulative grids cannot be reset in place, so the estimator runs over
+  // the window's bucket-count deltas.
+  return LatencyHistogram::quantile(cur_e2e_, 0.99);
 }
 
 void AdaptiveController::update_shedding(SimTime now,

@@ -201,26 +201,25 @@ void HttpRangeProxy::snapshot_clusters() {
   cluster_log_.push_back(std::move(snap));
 }
 
+void HttpRangeProxy::sample_tick() {
+  sample();
+  sim_.schedule_in(options_.sample_interval, [this] { sample_tick(); });
+}
+
+void HttpRangeProxy::cluster_tick() {
+  snapshot_clusters();
+  sim_.schedule_in(options_.cluster_interval, [this] { cluster_tick(); });
+}
+
 ProxyResult HttpRangeProxy::run(SimTime duration) {
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
     top_up(idx, sim_.now());
   }
   for (const auto& link : links_) link->notify_backlog();
 
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [this, sampler] {
-    sample();
-    sim_.schedule_in(options_.sample_interval, *sampler);
-  };
-  sim_.schedule_in(options_.sample_interval, *sampler);
-
+  sim_.schedule_in(options_.sample_interval, [this] { sample_tick(); });
   if (options_.cluster_interval > 0) {
-    auto cluster_sampler = std::make_shared<std::function<void()>>();
-    *cluster_sampler = [this, cluster_sampler] {
-      snapshot_clusters();
-      sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
-    };
-    sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
+    sim_.schedule_in(options_.cluster_interval, [this] { cluster_tick(); });
   }
 
   sim_.run_until(duration);

@@ -103,6 +103,9 @@ class HttpRangeProxy {
   void on_chunk_received(IfaceId iface, const Packet& chunk, SimTime at);
   void sample();
   void snapshot_clusters();
+  // Sample, then schedule the next tick.
+  void sample_tick();
+  void cluster_tick();
 
   std::vector<ProxyInterfaceSpec> iface_specs_;
   std::vector<ProxyFlowSpec> flow_specs_;

@@ -150,6 +150,11 @@ void RemoteProxy::sample() {
   }
 }
 
+void RemoteProxy::sample_tick() {
+  sample();
+  sim_.schedule_in(options_.sample_interval, [this] { sample_tick(); });
+}
+
 InboundResult RemoteProxy::run(SimTime duration) {
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
     for (const std::uint32_t size : flows_[idx]->source->on_start(rng_)) {
@@ -159,12 +164,7 @@ InboundResult RemoteProxy::run(SimTime duration) {
   }
   for (const auto& path : paths_) path->notify_backlog();
 
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [this, sampler] {
-    sample();
-    sim_.schedule_in(options_.sample_interval, *sampler);
-  };
-  sim_.schedule_in(options_.sample_interval, *sampler);
+  sim_.schedule_in(options_.sample_interval, [this] { sample_tick(); });
 
   sim_.run_until(duration);
 

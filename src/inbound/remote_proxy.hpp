@@ -84,6 +84,8 @@ class RemoteProxy {
   void on_path_departure(IfaceId path, const Packet& packet, SimTime at);
   void deliver(std::size_t index, IfaceId path, Packet packet, SimTime at);
   void sample();
+  // Sample, then schedule the next tick.
+  void sample_tick();
 
   std::vector<PathSpec> path_specs_;
   std::vector<InboundFlowSpec> flow_specs_;

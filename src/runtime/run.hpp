@@ -8,7 +8,7 @@
 // trace.  run() wires them in the one safe order, drives the load for
 // `duration_s` seconds, shuts everything down, and returns what the run
 // measured.  write_json() is the only rendering of a report: midrr_rt
-// prints it, and the ci.yml gates read its keys.
+// prints it, and the gates in ci/gates.py read its keys.
 #pragma once
 
 #include <chrono>

@@ -13,7 +13,8 @@ namespace midrr::telemetry {
 namespace {
 
 std::string flow_label(const FairnessFlowSample& flow) {
-  return flow.name.empty() ? "f" + std::to_string(flow.id) : flow.name;
+  return flow.name.empty() ? std::string("f").append(std::to_string(flow.id))
+                           : flow.name;
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace midrr {
@@ -66,19 +67,25 @@ class LatencyHistogram {
   /// exactly, as before.
   double quantile(double q) const {
     std::vector<std::uint64_t> snap(kBuckets);
-    std::uint64_t total = 0;
     for (std::size_t i = 0; i < kBuckets; ++i) {
       snap[i] = counts_[i].load(std::memory_order_relaxed);
-      total += snap[i];
     }
+    return quantile(snap, q);
+  }
+
+  /// The same estimator over a caller-held grid: `counts[i]` samples in
+  /// bucket i (a snapshot, or the delta between two cumulative snapshots).
+  static double quantile(std::span<const std::uint64_t> counts, double q) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
     if (total == 0) return 0.0;
     if (q < 0.0) q = 0.0;
     if (q > 1.0) q = 1.0;
     const double rank = q * static_cast<double>(total);
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      if (snap[i] == 0) continue;
-      const double seen_after = static_cast<double>(seen + snap[i]);
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] == 0) continue;
+      const double seen_after = static_cast<double>(seen + counts[i]);
       if (seen_after >= rank) {
         const double lo = lower_bound(i);
         if (i < (std::size_t{1} << (kSubBits + 1))) {
@@ -86,14 +93,14 @@ class LatencyHistogram {
         }
         const double width = upper_bound(i) - lo + 1.0;
         double into = (rank - static_cast<double>(seen)) /
-                      static_cast<double>(snap[i]);
+                      static_cast<double>(counts[i]);
         if (into < 0.0) into = 0.0;
         if (into > 1.0) into = 1.0;
         return lo + width * into;
       }
-      seen += snap[i];
+      seen += counts[i];
     }
-    return upper_bound(kBuckets - 1);
+    return upper_bound(counts.size() - 1);
   }
 
   /// Adds `other`'s counters into this histogram (per-worker -> global).

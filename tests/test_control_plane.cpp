@@ -54,8 +54,8 @@ std::vector<std::uint32_t> two_shards() { return {0, 1, 0, 1}; }
 TEST(ControlPlane, AddFlowReachesEveryHostingShardWithLocalSubset) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0, 1, 2};  // shard 0 hosts {0, 2}, shard 1 hosts {1}
+  // Shard 0 hosts {0, 2}, shard 1 hosts {1}.
+  RtFlowSpec spec{.willing = {0, 1, 2}};
   const FlowId f = cp.add_flow(spec);
   ASSERT_EQ(applier.ops.size(), 2u);
   EXPECT_EQ(applier.ops[0].kind, "add");
@@ -99,8 +99,7 @@ TEST(ControlPlane, AddAppliesBeforeDirectoryRemoveClearsDirectoryBefore) {
   OrderChecker applier;
   ControlPlane cp(applier, two_shards(), 16);
   applier.cp = &cp;
-  RtFlowSpec spec;
-  spec.willing = {0, 1};
+  RtFlowSpec spec{.willing = {0, 1}};
   const FlowId f = cp.add_flow(spec);
   EXPECT_NE(cp.class_of(f), kInvalidClass);
   cp.remove_flow(f);
@@ -110,8 +109,7 @@ TEST(ControlPlane, AddAppliesBeforeDirectoryRemoveClearsDirectoryBefore) {
 TEST(ControlPlane, EqualSpecsInternIntoOneClass) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0, 1};
+  RtFlowSpec spec{.willing = {0, 1}};
   const FlowId a = cp.add_flow(spec);
   const FlowId b = cp.add_flow(spec);
   EXPECT_EQ(cp.class_of(a), cp.class_of(b));
@@ -190,8 +188,7 @@ TEST(ControlPlane, ApplyDrivesEveryDeltaKind) {
 TEST(ControlPlane, ClassRetiresAndRevivesUnderTheSameId) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0, 1};
+  RtFlowSpec spec{.willing = {0, 1}};
   const FlowId a = cp.add_flow(spec);
   const ClassId cls = cp.class_of(a);
   cp.remove_flow(a);
@@ -252,8 +249,7 @@ TEST(ControlPlane, ReweightMergesIntoAnExistingClass) {
 TEST(ControlPlane, SetWillingGrowsAndShrinksShardCoverage) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0};  // shard 0 only
+  RtFlowSpec spec{.willing = {0}};  // shard 0 only
   const FlowId f = cp.add_flow(spec);
   applier.ops.clear();
 
@@ -287,8 +283,7 @@ TEST(ControlPlane, SetWillingGrowsAndShrinksShardCoverage) {
 TEST(ControlPlane, MoveBetweenClassesPreservesTheFlowId) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0, 1};
+  RtFlowSpec spec{.willing = {0, 1}};
   const FlowId f = cp.add_flow(spec);
   cp.add_flow(spec);  // keeps the source class alive after the move
   const ClassId before = cp.class_of(f);
@@ -306,8 +301,7 @@ TEST(ControlPlane, MoveBetweenClassesPreservesTheFlowId) {
 TEST(ControlPlane, RedundantUpdatesAreNoOps) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0};
+  RtFlowSpec spec{.willing = {0}};
   const FlowId f = cp.add_flow(spec);
   const std::uint64_t v = cp.version();
   applier.ops.clear();
@@ -324,11 +318,9 @@ TEST(ControlPlane, RejectsBadInputs) {
   ControlPlane cp(applier, two_shards(), 2);
   EXPECT_THROW(cp.add_flow({.weight = 0.0}), PreconditionError);
   EXPECT_THROW(cp.remove_flow(0), PreconditionError);
-  RtFlowSpec bad;
-  bad.willing = {9};  // unknown interface
+  RtFlowSpec bad{.willing = {9}};  // unknown interface
   EXPECT_THROW(cp.add_flow(bad), PreconditionError);
-  RtFlowSpec ok;
-  ok.willing = {0};
+  RtFlowSpec ok{.willing = {0}};
   const FlowId f = cp.add_flow(ok);
   cp.add_flow(ok);
   EXPECT_THROW(cp.add_flow(ok), PreconditionError) << "arena bound";
@@ -342,8 +334,7 @@ TEST(ControlPlane, RejectsBadInputs) {
 TEST(ControlPlane, FlowIdsAreDenseAndNeverReused) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 8);
-  RtFlowSpec spec;
-  spec.willing = {0};
+  RtFlowSpec spec{.willing = {0}};
   const FlowId a = cp.add_flow(spec);
   const FlowId b = cp.add_flow(spec);
   cp.remove_flow(a);
@@ -359,11 +350,9 @@ TEST(ControlPlane, IfaceDownReSteersAndQuarantinesInOnePublish) {
   // routing nowhere).
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec x_spec;
-  x_spec.willing = {0, 1};
+  RtFlowSpec x_spec{.willing = {0, 1}};
   const FlowId x = cp.add_flow(x_spec);
-  RtFlowSpec y_spec;
-  y_spec.willing = {0};
+  RtFlowSpec y_spec{.willing = {0}};
   const FlowId y = cp.add_flow(y_spec);
   applier.ops.clear();
   const std::uint64_t v = cp.version();
@@ -424,8 +413,7 @@ TEST(ControlPlane, IfaceDownFlipsWillingOnAStillHostingShard) {
   // otherwise miDRR keeps granting turns to a dead link.
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0, 2};
+  RtFlowSpec spec{.willing = {0, 2}};
   const FlowId f = cp.add_flow(spec);
   applier.ops.clear();
 
@@ -451,8 +439,7 @@ TEST(ControlPlane, IfaceDownFlipsWillingOnAStillHostingShard) {
 TEST(ControlPlane, IfaceDownIsIdempotentAndValidated) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0};
+  RtFlowSpec spec{.willing = {0}};
   cp.add_flow(spec);
   EXPECT_THROW(cp.set_iface_down(9, true), PreconditionError);
   cp.set_iface_down(0, true);
@@ -467,8 +454,7 @@ TEST(ControlPlane, FlowsAddedWhileIfaceIsDownRouteAroundIt) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
   cp.set_iface_down(0, true);
-  RtFlowSpec spec;
-  spec.willing = {0, 1};
+  RtFlowSpec spec{.willing = {0, 1}};
   const FlowId f = cp.add_flow(spec);
   ASSERT_EQ(applier.ops.size(), 1u);
   EXPECT_EQ(applier.ops[0].kind, "add");
@@ -481,8 +467,7 @@ TEST(ControlPlane, FlowsAddedWhileIfaceIsDownRouteAroundIt) {
 TEST(ControlPlane, LiveFlowsScansTheDirectory) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0};
+  RtFlowSpec spec{.willing = {0}};
   const FlowId a = cp.add_flow(spec);
   const FlowId b = cp.add_flow(spec);
   const FlowId c = cp.add_flow(spec);

@@ -63,7 +63,8 @@ TEST_P(ExhaustiveSmallTest, MiDrrMatchesSolverOnEveryPiMatrix) {
       }
       input.weights.push_back(1.0);
       input.willing.push_back(row);
-      sc.backlogged_flow("f" + std::to_string(i), 1.0, willing);
+      sc.backlogged_flow(std::string("f").append(std::to_string(i)), 1.0,
+                         willing);
     }
 
     const auto reference = fair::solve_max_min(input);
@@ -101,9 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 2), std::make_tuple(2, 1),
                       std::make_tuple(2, 2), std::make_tuple(3, 1),
                       std::make_tuple(3, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return std::to_string(std::get<0>(info.param)) + "flows_" +
-             std::to_string(std::get<1>(info.param)) + "ifaces";
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& param_info) {
+      return std::to_string(std::get<0>(param_info.param)) + "flows_" +
+             std::to_string(std::get<1>(param_info.param)) + "ifaces";
     });
 
 
@@ -135,7 +136,8 @@ TEST_P(ExhaustiveOracleTest, OracleMatchesSolverOnEveryPiMatrix) {
       }
       input.weights.push_back(1.0);
       input.willing.push_back(row);
-      sc.backlogged_flow("f" + std::to_string(i), 1.0, willing);
+      sc.backlogged_flow(std::string("f").append(std::to_string(i)), 1.0,
+                         willing);
     }
     const auto reference = fair::solve_max_min(input);
     ScenarioRunner runner(sc, Policy::kOracle);
@@ -156,9 +158,9 @@ TEST_P(ExhaustiveOracleTest, OracleMatchesSolverOnEveryPiMatrix) {
 INSTANTIATE_TEST_SUITE_P(
     Sizes, ExhaustiveOracleTest,
     ::testing::Values(std::make_tuple(2, 2), std::make_tuple(3, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return std::to_string(std::get<0>(info.param)) + "flows_" +
-             std::to_string(std::get<1>(info.param)) + "ifaces";
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& param_info) {
+      return std::to_string(std::get<0>(param_info.param)) + "flows_" +
+             std::to_string(std::get<1>(param_info.param)) + "ifaces";
     });
 
 TEST(ExhaustiveWeighted, TwoByTwoWeightSweep) {

@@ -217,7 +217,8 @@ TEST(FaultE2E, OverloadSheddingKeepsJainHighUnderTwoXLoad) {
   std::vector<FlowId> flows;
   for (int i = 0; i < 4; ++i) {
     flows.push_back(runtime.control().add_flow(
-        {.willing = {0}, .name = "f" + std::to_string(i)}));
+        {.willing = {0},
+         .name = std::string("f").append(std::to_string(i))}));
   }
   runtime.start();
   LoadGeneratorOptions load;
@@ -558,7 +559,8 @@ TEST(AdaptE2E, ClosedLoopHoldsP99AndFairnessThroughAnUnscriptedDroop) {
   std::vector<FlowId> flows;
   for (int i = 0; i < 4; ++i) {
     flows.push_back(runtime.control().add_flow(
-        {.willing = {0, 1}, .name = "f" + std::to_string(i)}));
+        {.willing = {0, 1},
+         .name = std::string("f").append(std::to_string(i))}));
   }
 
   fault::FaultPlanRecorder recorder(3);
@@ -650,7 +652,8 @@ TEST(AdaptE2E, ClosedLoopHoldsP99AndFairnessThroughAnUnscriptedDroop) {
   rerun.add_interface("if1", RateProfile(mbps(20)));
   for (int i = 0; i < 4; ++i) {
     rerun.control().add_flow(
-        {.willing = {0, 1}, .name = "f" + std::to_string(i)});
+        {.willing = {0, 1},
+         .name = std::string("f").append(std::to_string(i))});
   }
   fault::AdaptiveController replay_adapt(rerun, aopts);
   rerun.set_capacity_overlay(&replay_adapt);

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "core/scenario_text.hpp"
 #include "fault/fault_plan.hpp"
 #include "http/message.hpp"
+#include "io/wire.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
 #include "util/json.hpp"
@@ -140,6 +142,53 @@ TEST(FuzzParse, PcapReaderNeverCrashes) {
     (void)net::read_pcap(in);
   }
   SUCCEED();
+}
+
+// WireHeader::decode is midrr_rx's only input from the network: whatever
+// arrives, a decoded header never claims more bytes than the datagram
+// holds, so a tx-timestamp trailer is only read when it is really there.
+TEST(FuzzParse, WireHeaderDecodeNeverOverrunsTheDatagram) {
+  Rng rng(0x3D1E);
+  int decoded = 0;
+  int rejected = 0;
+  const auto decode = [&](std::span<const net::Byte> data) {
+    const auto header = io::WireHeader::decode(data);
+    if (header) {
+      ++decoded;
+      EXPECT_LE(header->wire_size(), data.size());
+    } else {
+      ++rejected;
+    }
+  };
+  for (int trial = 0; trial < 20'000; ++trial) {
+    decode(random_bytes(rng, 48));
+  }
+  for (int trial = 0; trial < 20'000; ++trial) {
+    // A valid header, plain or with the tx-timestamp trailer, with 1-4
+    // bytes flipped and then cut anywhere from 0 bytes to its full length.
+    io::WireHeader valid;
+    valid.flags = trial % 2 == 0 ? io::WireHeader::kFlagTxTimestamp : 0;
+    valid.payload_bytes = static_cast<std::uint16_t>(trial);
+    valid.flow = static_cast<FlowId>(trial % 64);
+    valid.seq = static_cast<std::uint64_t>(trial);
+    valid.size_bytes = 1500;
+    valid.tx_timestamp_ns = 123'456'789;
+    net::ByteBuffer bytes(valid.wire_size());
+    net::BufWriter writer(bytes);
+    valid.encode(writer);
+    const auto flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+      bytes[pos] ^= static_cast<net::Byte>(rng.uniform_int(1, 255));
+    }
+    bytes.resize(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()))));
+    decode(bytes);
+  }
+  // Flips that spare magic and version, on an uncut header, still decode.
+  EXPECT_GT(decoded, 100);
+  EXPECT_GT(rejected, 20'000);
 }
 
 // Every fault kind plus an observed note, so mutations reach every branch

@@ -49,7 +49,7 @@ RandomProblem make_sparse_problem(std::uint64_t seed) {
         weight_choices[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     p.input.weights.push_back(w);
     p.input.willing.push_back(row);
-    p.flow_names.push_back("f" + std::to_string(i));
+    p.flow_names.push_back(std::string("f").append(std::to_string(i)));
     p.scenario.backlogged_flow(p.flow_names.back(), w, willing);
   }
   // The aggregator: willing on every interface (it soaks up the leftover
@@ -98,7 +98,7 @@ RandomProblem make_problem(std::uint64_t seed) {
         weight_choices[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     p.input.weights.push_back(w);
     p.input.willing.push_back(row);
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = std::string("f").append(std::to_string(i));
     p.flow_names.push_back(name);
     p.scenario.backlogged_flow(name, w, willing);
   }

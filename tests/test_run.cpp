@@ -84,7 +84,7 @@ TEST(Run, ReportCarriesEveryKeyTheCiGatesRead) {
   spec.flight_dump = dump;
   spec.slo = {"class=f0:p99_ms=5"};
   const JsonValue doc = report_json(run(spec));
-  // chaos-soak, replay, pool-leak-accounting and ci/loopback_gate.py.
+  // chaos, replay, pool and loopback gates in ci/gates.py.
   for (const char* path :
        {"offered", "dequeued", "fanin_drops", "tail_drops", "shed_drops",
         "straggler_drops", "egress/backend", "egress/sent", "egress/io_drops",
