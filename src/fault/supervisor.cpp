@@ -125,8 +125,10 @@ void Supervisor::probe_links(SimTime now) {
       const bool alive = progressed || tokens >= options_.revive_tokens;
       if (alive) {
         if (++h.good_probes >= options_.healthy_after_probes) {
-          transition(j, h, LinkState::kHealthy, now);
+          // Actuate before publishing the verdict: anyone who reads
+          // kHealthy must already find the interface re-steered.
           rt_.set_iface_down(j, false);
+          transition(j, h, LinkState::kHealthy, now);
           topology_changed = true;
         }
       } else {
@@ -156,8 +158,8 @@ void Supervisor::probe_links(SimTime now) {
         transition(j, h, LinkState::kSuspect, now);
       }
       if (++h.bad_probes >= options_.dead_after_probes) {
+        rt_.set_iface_down(j, true);  // actuate first, as on revival
         transition(j, h, LinkState::kDead, now);
-        rt_.set_iface_down(j, true);
         topology_changed = true;
       }
     } else if (degraded || erroring) {
@@ -228,7 +230,7 @@ void Supervisor::transition(IfaceId iface, LinkHealth& health, LinkState to,
   health.bad_probes = 0;
   health.good_probes = 0;
   state_mirror_[iface].store(static_cast<std::uint8_t>(to),
-                             std::memory_order_relaxed);
+                             std::memory_order_release);
   transitions_.fetch_add(1, std::memory_order_relaxed);
   if (flight_ != nullptr) {
     telemetry::FlightCode code = telemetry::FlightCode::kLinkHealthy;

@@ -162,9 +162,11 @@ class Supervisor {
   /// each interval, and directly by deterministic tests (no thread).
   void probe();
 
+  /// Acquire pairs with transition()'s release store: a reader that sees
+  /// kDead or a revival's kHealthy also sees the set_iface_down it follows.
   LinkState link_state(IfaceId iface) const {
     return static_cast<LinkState>(
-        state_mirror_[iface].load(std::memory_order_relaxed));
+        state_mirror_[iface].load(std::memory_order_acquire));
   }
   bool any_degraded() const;
 

@@ -24,27 +24,45 @@ ControlPlane::ControlPlane(ShardApplier& applier,
       dir_(std::make_unique<std::atomic<std::uint32_t>[]>(max_flows)),
       cell_(std::make_unique<RuntimeSnapshot>()) {
   MIDRR_REQUIRE(max_flows_ > 0, "max_flows must be positive");
-  latest_.iface_count = shard_of_iface_.size();
-  latest_.version = 1;
-  publish_locked(clone_locked());
+  publish_locked();
 }
 
 std::unique_ptr<RuntimeSnapshot> ControlPlane::clone_locked() const {
-  return std::make_unique<RuntimeSnapshot>(latest_);
+  auto next = std::make_unique<RuntimeSnapshot>();
+  next->version = version_;
+  next->classes.reserve(classes_.size());
+  for (const auto& entry : classes_) next->classes.push_back(entry.get());
+  next->live = live_;
+  next->iface_count = shard_of_iface_.size();
+  next->iface_down = down_;
+  return next;
 }
 
-void ControlPlane::publish_locked(std::unique_ptr<RuntimeSnapshot> next) {
-  cell_.publish(std::unique_ptr<const RuntimeSnapshot>(next.release()));
+void ControlPlane::publish_locked() {
+  ++version_;
+  cell_.publish(clone_locked());  // returns after the grace period
+  replaced_.clear();
+}
+
+SnapshotClass& ControlPlane::edit_locked(ClassId cls) {
+  if (edited_in_[cls] != version_ + 1) {
+    // Readers may hold the published entry: edit a copy, and keep the
+    // original alive until the next publish has outwaited them.
+    replaced_.push_back(std::move(classes_[cls]));
+    classes_[cls] = std::make_unique<SnapshotClass>(*replaced_.back());
+    edited_in_[cls] = version_ + 1;
+  }
+  return *classes_[cls];
 }
 
 std::uint64_t ControlPlane::version() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return latest_.version;
+  return version_;
 }
 
 std::size_t ControlPlane::class_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return latest_.live.size();
+  return live_.size();
 }
 
 std::vector<std::uint32_t> ControlPlane::shards_of(
@@ -96,33 +114,39 @@ ClassId ControlPlane::intern_locked(const ClassSpec& spec) {
   normalize_key(key);
   shards_of(key.willing);  // validates: throws on unknown interfaces
   const ClassId cid = table_.intern(key);
-  if (latest_.classes.size() <= cid) latest_.classes.resize(cid + 1);
-  SnapshotClass& entry = latest_.classes[cid];
-  if (!entry.live) {
-    // Fresh mint or revival: (re)build the snapshot entry from the key.
+  if (classes_.size() <= cid) {  // fresh mint: an unpublished entry
+    classes_.resize(cid + 1);
+    classes_[cid] = std::make_unique<SnapshotClass>();
+    edited_in_.resize(cid + 1, version_ + 1);
+    members_.resize(cid + 1);
+  }
+  if (!entry_locked(cid).live) {
+    // Fresh mint or revival: (re)build the entry from the key.
+    SnapshotClass& entry = edit_locked(cid);
     entry.id = cid;
     entry.weight = key.weight;
     entry.willing = key.willing;
     entry.queue_capacity_bytes = key.queue_capacity_bytes;
     entry.members = 0;
-    const std::vector<IfaceId> live_willing = live_subset_locked(entry.willing);
-    entry.shards = shards_of(live_willing);
+    entry.shards = shards_of(live_subset_locked(entry.willing));
     entry.quarantined = entry.shards.empty() && !entry.willing.empty();
   }
-  if (entry.name.empty() && !spec.name.empty()) entry.name = spec.name;
+  if (entry_locked(cid).name.empty() && !spec.name.empty()) {
+    edit_locked(cid).name = spec.name;
+  }
   return cid;
 }
 
 void ControlPlane::refresh_liveness_locked(ClassId cls) {
-  SnapshotClass& entry = latest_.classes[cls];
-  const bool was_live = entry.live;
-  entry.live = entry.members > 0;
-  if (entry.live && !was_live) {
-    latest_.live.insert(
-        std::lower_bound(latest_.live.begin(), latest_.live.end(), cls), cls);
-  } else if (!entry.live && was_live) {
-    latest_.live.erase(
-        std::find(latest_.live.begin(), latest_.live.end(), cls));
+  const SnapshotClass& current = entry_locked(cls);
+  const bool live = current.members > 0;
+  if (live == current.live) return;
+  SnapshotClass& entry = edit_locked(cls);
+  entry.live = live;
+  if (live) {
+    live_.insert(std::lower_bound(live_.begin(), live_.end(), cls), cls);
+  } else {
+    live_.erase(std::find(live_.begin(), live_.end(), cls));
     entry.quarantined = false;
     entry.shards.clear();
   }
@@ -131,12 +155,43 @@ void ControlPlane::refresh_liveness_locked(ClassId cls) {
 void ControlPlane::dir_store(FlowId flow, ClassId cls) {
   const std::uint32_t prev =
       dir_[flow].exchange(cls + 1, std::memory_order_release);
-  if (prev == 0) live_flows_.fetch_add(1, std::memory_order_relaxed);
+  if (prev == 0) {
+    live_flows_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    unlink_member(flow, static_cast<ClassId>(prev - 1));
+  }
+  // Append: a list keeps join order, ascending for add_members batches.
+  MemberList& list = members_[cls];
+  links_[flow] = MemberLink{list.last, kInvalidFlow};
+  if (list.last != kInvalidFlow) {
+    links_[list.last].next = flow;
+  } else {
+    list.first = flow;
+  }
+  list.last = flow;
 }
 
 void ControlPlane::dir_clear(FlowId flow) {
   const std::uint32_t prev = dir_[flow].exchange(0, std::memory_order_release);
-  if (prev != 0) live_flows_.fetch_sub(1, std::memory_order_relaxed);
+  if (prev != 0) {
+    live_flows_.fetch_sub(1, std::memory_order_relaxed);
+    unlink_member(flow, static_cast<ClassId>(prev - 1));
+  }
+}
+
+void ControlPlane::unlink_member(FlowId flow, ClassId cls) {
+  const MemberLink link = links_[flow];
+  MemberList& list = members_[cls];
+  if (link.prev != kInvalidFlow) {
+    links_[link.prev].next = link.next;
+  } else {
+    list.first = link.next;
+  }
+  if (link.next != kInvalidFlow) {
+    links_[link.next].prev = link.prev;
+  } else {
+    list.last = link.prev;
+  }
 }
 
 std::vector<FlowId> ControlPlane::live_flows() const {
@@ -148,11 +203,20 @@ std::vector<FlowId> ControlPlane::live_flows() const {
   return out;
 }
 
-std::vector<FlowId> ControlPlane::members_of(ClassId cls) const {
+std::vector<FlowId> ControlPlane::members_locked(ClassId cls) const {
   std::vector<FlowId> out;
-  for (FlowId f = 0; f < max_flows_; ++f) {
-    if (dir_[f].load(std::memory_order_acquire) == cls + 1) out.push_back(f);
+  out.reserve(entry_locked(cls).members);
+  for (FlowId f = members_[cls].first; f != kInvalidFlow; f = links_[f].next) {
+    out.push_back(f);
   }
+  return out;
+}
+
+std::vector<FlowId> ControlPlane::members_of(ClassId cls) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cls >= classes_.size()) return {};
+  std::vector<FlowId> out = members_locked(cls);
+  if (!std::is_sorted(out.begin(), out.end())) std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -162,7 +226,7 @@ FlowId ControlPlane::add_members(const ClassSpec& spec, std::size_t count) {
   const ClassId cid = intern_locked(spec);  // validates weight + interfaces
   MIDRR_REQUIRE(next_flow_ + count <= max_flows_,
                 "flow arena exhausted (RuntimeOptions::max_flows)");
-  SnapshotClass& entry = latest_.classes[cid];
+  SnapshotClass& entry = edit_locked(cid);
   const std::vector<IfaceId> live_willing = live_subset_locked(entry.willing);
   const RtFlowSpec reg = spec_of(entry);
   const FlowId first = next_flow_;
@@ -177,10 +241,10 @@ FlowId ControlPlane::add_members(const ClassSpec& spec, std::size_t count) {
     }
   }
   next_flow_ += static_cast<FlowId>(count);
+  links_.resize(next_flow_);
   entry.members += count;
   refresh_liveness_locked(cid);
-  ++latest_.version;
-  publish_locked(clone_locked());  // ONE publish for the whole batch
+  publish_locked();  // ONE publish for the whole batch
 
   // Directory last: a producer that resolves flow -> class must find the
   // class in the snapshot it reads.
@@ -194,17 +258,15 @@ void ControlPlane::remove_member(FlowId flow) {
   std::lock_guard<std::mutex> lock(mu_);
   const ClassId cid = class_of(flow);
   MIDRR_REQUIRE(cid != kInvalidClass, "removing unknown flow");
-  SnapshotClass& entry = latest_.classes[cid];
 
   // Directory first (producers stop resolving the flow), then the publish
   // bumps the epoch, invalidating cached routes; stragglers already queued
   // get dropped by the fan-in stage.
   dir_clear(flow);
-  const std::vector<std::uint32_t> shards = entry.shards;
-  --entry.members;
+  const std::vector<std::uint32_t> shards = entry_locked(cid).shards;
+  --edit_locked(cid).members;
   refresh_liveness_locked(cid);
-  ++latest_.version;
-  publish_locked(clone_locked());
+  publish_locked();
 
   for (const std::uint32_t s : shards) applier_.shard_remove_flow(s, flow);
 }
@@ -215,9 +277,8 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
   MIDRR_REQUIRE(old_cid != kInvalidClass, "moving unknown flow");
   const ClassId new_cid = intern_locked(spec);
   if (new_cid == old_cid) return;  // identical identity: nothing to move
-  // References only AFTER the last intern (it may resize classes).
-  SnapshotClass& oldc = latest_.classes[old_cid];
-  SnapshotClass& newc = latest_.classes[new_cid];
+  const SnapshotClass& oldc = entry_locked(old_cid);
+  const SnapshotClass& newc = entry_locked(new_cid);
   const std::vector<IfaceId> old_live = live_subset_locked(oldc.willing);
   const std::vector<IfaceId> new_live = live_subset_locked(newc.willing);
 
@@ -231,7 +292,8 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
       continue;
     }
     if (newc.weight != oldc.weight) {
-      applier_.shard_set_weight(s, flow, newc.weight);
+      applier_.shard_set_weight(s, std::span<const FlowId>(&flow, 1),
+                                newc.weight);
     }
     for (const IfaceId j : willing_in_shard(old_live, s)) {
       if (!contains(new_live, j)) applier_.shard_set_willing(s, flow, j, false);
@@ -242,16 +304,15 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
   }
 
   const std::vector<std::uint32_t> old_shards = oldc.shards;
-  --oldc.members;
-  newc.members += 1;
+  --edit_locked(old_cid).members;
+  ++edit_locked(new_cid).members;
   refresh_liveness_locked(old_cid);
   refresh_liveness_locked(new_cid);
-  ++latest_.version;
-  publish_locked(clone_locked());
+  publish_locked();
   dir_store(flow, new_cid);
 
   for (const std::uint32_t s : old_shards) {
-    if (!contains(latest_.classes[new_cid].shards, s)) {
+    if (!contains(entry_locked(new_cid).shards, s)) {
       applier_.shard_remove_flow(s, flow);
     }
   }
@@ -260,30 +321,25 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
 ClassId ControlPlane::reweight_class(ClassId cls, double weight) {
   MIDRR_REQUIRE(weight > 0.0, "class weight must be positive");
   std::lock_guard<std::mutex> lock(mu_);
-  MIDRR_REQUIRE(cls < latest_.classes.size() && latest_.classes[cls].live,
+  MIDRR_REQUIRE(cls < classes_.size() && entry_locked(cls).live,
                 "reweighting unknown class");
-  if (latest_.classes[cls].weight == weight) return cls;
+  if (entry_locked(cls).weight == weight) return cls;
 
-  ClassSpec spec = spec_of(latest_.classes[cls]);
+  ClassSpec spec = spec_of(entry_locked(cls));
   spec.weight = weight;
-  const std::vector<FlowId> members = members_of(cls);
+  const std::vector<FlowId> members = members_locked(cls);
   const ClassId target = intern_locked(spec);  // mint, revive, or MERGE
-  SnapshotClass& oldc = latest_.classes[cls];
-  SnapshotClass& newc = latest_.classes[target];
 
   // Same Pi row => same hosting shards; every member's queue survives, only
-  // its scheduler weight changes.
-  for (const FlowId f : members) {
-    for (const std::uint32_t s : newc.shards) {
-      applier_.shard_set_weight(s, f, weight);
-    }
+  // its scheduler weight changes: one call (one shard lock) per shard.
+  for (const std::uint32_t s : entry_locked(target).shards) {
+    applier_.shard_set_weight(s, members, weight);
   }
-  newc.members += members.size();
-  oldc.members = 0;
+  edit_locked(target).members += members.size();
+  edit_locked(cls).members = 0;
   refresh_liveness_locked(cls);
   refresh_liveness_locked(target);
-  ++latest_.version;
-  publish_locked(clone_locked());  // ONE publish for the whole class
+  publish_locked();  // ONE publish for the whole class
   for (const FlowId f : members) dir_store(f, target);
   return target;
 }
@@ -313,7 +369,7 @@ void ControlPlane::set_weight(FlowId flow, double weight) {
     std::lock_guard<std::mutex> lock(mu_);
     const ClassId cid = class_of(flow);
     MIDRR_REQUIRE(cid != kInvalidClass, "reweighting unknown flow");
-    spec = spec_of(latest_.classes[cid]);
+    spec = spec_of(entry_locked(cid));
   }
   spec.weight = weight;
   move_member(flow, spec);
@@ -327,7 +383,7 @@ void ControlPlane::set_willing(FlowId flow, IfaceId iface, bool value) {
                   "set_willing for unknown interface");
     const ClassId cid = class_of(flow);
     MIDRR_REQUIRE(cid != kInvalidClass, "set_willing for unknown flow");
-    spec = spec_of(latest_.classes[cid]);
+    spec = spec_of(entry_locked(cid));
     const bool had = contains(spec.willing, iface);
     if (had == value) return;
     if (value) {
@@ -349,15 +405,6 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
   if (down_.empty()) down_.assign(shard_of_iface_.size(), false);
   if (down_[iface] == down) return;
   down_[iface] = down;
-  latest_.iface_down = down_;
-
-  // One directory scan gives every affected class's member list (the only
-  // O(max_flows) step; everything else is O(classes) + O(moved members)).
-  std::vector<std::vector<FlowId>> members(latest_.classes.size());
-  for (FlowId f = 0; f < next_flow_; ++f) {
-    const std::uint32_t v = dir_[f].load(std::memory_order_acquire);
-    if (v != 0) members[v - 1].push_back(f);
-  }
 
   struct Removal {
     std::uint32_t shard;
@@ -366,18 +413,21 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
   std::vector<Removal> removals;
   const std::uint32_t iface_shard = shard_of_iface_[iface];
 
-  for (const ClassId cid : latest_.live) {
-    SnapshotClass& entry = latest_.classes[cid];
+  // Only classes whose Pi row names the interface change, and each walks
+  // just its own member list.
+  for (const ClassId cid : live_) {
+    const SnapshotClass& entry = entry_locked(cid);
     if (!contains(entry.willing, iface)) continue;
     const std::vector<IfaceId> live_willing = live_subset_locked(entry.willing);
     const std::vector<std::uint32_t> new_shards = shards_of(live_willing);
+    const std::vector<FlowId> members = members_locked(cid);
 
     // Grow side before the publish: a producer may only route to a shard
     // that already knows the flow.
     for (const std::uint32_t s : new_shards) {
       if (!contains(entry.shards, s)) {
         const std::vector<IfaceId> subset = willing_in_shard(live_willing, s);
-        for (const FlowId f : members[cid]) {
+        for (const FlowId f : members) {
           applier_.shard_add_flow(s, f, spec_of(entry), subset);
         }
       } else if (s == iface_shard) {
@@ -387,24 +437,27 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
         // must stop granting the dead interface turns -- and restored on
         // revival (a re-add while the interface was dead registered only
         // the live subset).  Idempotent when the bit never went away.
-        for (const FlowId f : members[cid]) {
+        for (const FlowId f : members) {
           applier_.shard_set_willing(s, f, iface, !down);
         }
       }
     }
     for (const std::uint32_t s : entry.shards) {
       if (!contains(new_shards, s)) {
-        for (const FlowId f : members[cid]) {
+        for (const FlowId f : members) {
           removals.push_back(Removal{s, f});
         }
       }
     }
-    entry.shards = new_shards;
-    entry.quarantined = new_shards.empty() && !entry.willing.empty();
+    const bool quarantined = new_shards.empty() && !entry.willing.empty();
+    if (new_shards != entry.shards || quarantined != entry.quarantined) {
+      SnapshotClass& edited = edit_locked(cid);
+      edited.shards = new_shards;
+      edited.quarantined = quarantined;
+    }
   }
 
-  ++latest_.version;
-  publish_locked(clone_locked());  // ONE publish for the whole transition
+  publish_locked();  // ONE publish for the whole transition
 
   // Shrink side after the publish: producers already stopped routing here;
   // queued packets become counted straggler drops at the shard.
@@ -419,8 +472,8 @@ bool ControlPlane::iface_down(IfaceId iface) const {
 std::size_t ControlPlane::quarantined_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const ClassId cid : latest_.live) {
-    const SnapshotClass& entry = latest_.classes[cid];
+  for (const ClassId cid : live_) {
+    const SnapshotClass& entry = entry_locked(cid);
     if (entry.quarantined) n += entry.members;
   }
   return n;

@@ -2,11 +2,9 @@
 //
 // Flows sharing one preference row Pi, one weight phi, and one queue bound
 // are interned into a class (flow/class_table.hpp); the published
-// configuration (RuntimeSnapshot) describes CLASSES, not flows, so its size
-// -- and therefore the cost of every publish -- is O(classes x interfaces)
-// no matter how many flows are registered.  Per-flow state shrinks to one
-// lock-free directory word mapping FlowId -> ClassId; producers resolve a
-// packet's route as flow -> class -> hosting shards.
+// configuration (RuntimeSnapshot) describes CLASSES, not flows.  Per-flow
+// state shrinks to one lock-free directory word mapping FlowId -> ClassId;
+// producers resolve a packet's route as flow -> class -> hosting shards.
 //
 // Mutations are CLASS DELTAS (ControlDelta): add members to a class, remove
 // a member, move a member between classes, reweight a whole class.  Each
@@ -15,6 +13,18 @@
 // costs one publish.  The flow-level veneer (add_flow / remove_flow /
 // set_weight / set_willing) is expressed in those deltas, so existing
 // callers keep working while paying class-level publish costs.
+//
+// Cost model: a delta costs what it changes, not the size of the table.
+//   * Snapshot class entries are immutable and shared between snapshots
+//     (copy-on-write): a delta copies only the entries it edits, and a
+//     publish copies one pointer per class plus the live list.  The
+//     replaced versions are freed once the publish's grace period ends;
+//     every other entry lives on in the new snapshot.
+//   * Each class keeps an intrusive member list over the flow arena, so
+//     members_of(), reweight_class and set_iface_down cost O(members) of
+//     the classes involved, never a directory scan.
+//   * A reweight takes each hosting shard's lock once for the whole member
+//     span (ShardApplier::shard_set_weight).
 //
 // The paper's Section 4 requires that preference dynamics never disturb
 // in-flight scheduling; here that translates to: producers and workers
@@ -41,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,7 +78,9 @@ struct ClassSpec {
 /// and veneer callers share the type.
 using RtFlowSpec = ClassSpec;
 
-/// One class's entry in the published configuration.
+/// One class's entry in the published configuration.  Immutable once
+/// published: snapshots share entries, and the control plane copies an
+/// entry before a delta edits it.
 struct SnapshotClass {
   ClassId id = kInvalidClass;
   bool live = false;  ///< has at least one member
@@ -87,18 +100,21 @@ struct SnapshotClass {
 /// An immutable configuration snapshot.  Built by the control plane,
 /// published via RCU, read lock-free by producers and workers.  O(classes),
 /// never O(flows): flow membership lives in the control plane's directory
-/// (ControlPlane::class_of), not here.
+/// (ControlPlane::class_of), not here.  Class entries are owned by the
+/// control plane and shared with the neighbouring snapshots; an entry
+/// stays valid for as long as any snapshot pointing at it can be read.
 struct RuntimeSnapshot {
   std::uint64_t version = 0;
-  std::vector<SnapshotClass> classes{};  ///< indexed by ClassId (slots)
-  std::vector<ClassId> live{};           ///< live class ids, ascending
+  /// Indexed by ClassId; every minted id has an entry, live or not.
+  std::vector<const SnapshotClass*> classes{};
+  std::vector<ClassId> live{};  ///< live class ids, ascending
   std::size_t iface_count = 0;
   /// Administratively-dead interfaces (supervisor verdicts); empty means
   /// all up.  Indexed by global interface id when non-empty.
   std::vector<bool> iface_down{};
 
   const SnapshotClass* cls(ClassId id) const {
-    return id < classes.size() && classes[id].live ? &classes[id] : nullptr;
+    return id < classes.size() && classes[id]->live ? classes[id] : nullptr;
   }
 };
 
@@ -121,8 +137,8 @@ struct ControlDelta {
 };
 
 /// What the control plane needs from the data plane: apply one mutation to
-/// one shard's scheduler (under that shard's lock).  Implemented by
-/// Runtime; mocked in tests.
+/// one shard's scheduler (under that shard's lock, taken once per call).
+/// Implemented by Runtime; mocked in tests.
 class ShardApplier {
  public:
   virtual ~ShardApplier() = default;
@@ -132,7 +148,9 @@ class ShardApplier {
                               const RtFlowSpec& spec,
                               const std::vector<IfaceId>& willing_subset) = 0;
   virtual void shard_remove_flow(std::uint32_t shard, FlowId flow) = 0;
-  virtual void shard_set_weight(std::uint32_t shard, FlowId flow,
+  /// Sets every flow of `flows` (all registered in `shard`) to `weight`.
+  virtual void shard_set_weight(std::uint32_t shard,
+                                std::span<const FlowId> flows,
                                 double weight) = 0;
   virtual void shard_set_willing(std::uint32_t shard, FlowId flow,
                                  IfaceId iface, bool value) = 0;
@@ -225,7 +243,8 @@ class ControlPlane {
   /// path and epoch-change refreshes only, never per packet.
   std::vector<FlowId> live_flows() const;
 
-  /// Members of one class, ascending.  O(max_flows) scan (control path).
+  /// Members of one class, ascending.  O(members) walk of the class's
+  /// member list under the writer lock (control path).
   std::vector<FlowId> members_of(ClassId cls) const;
 
   /// Claims a reader slot for the calling thread (hold one per thread,
@@ -253,8 +272,12 @@ class ControlPlane {
   std::uint64_t max_reader_lag() const { return cell_.max_reader_lag(); }
 
  private:
+  /// The published form of the writer state: shares every class entry
+  /// (one pointer copy per class), copies the live list.
   std::unique_ptr<RuntimeSnapshot> clone_locked() const;
-  void publish_locked(std::unique_ptr<RuntimeSnapshot> next);
+  /// Bumps the version, publishes clone_locked() and frees the entries the
+  /// delta replaced (no reader can reach them once publish returns).
+  void publish_locked();
   std::vector<std::uint32_t> shards_of(const std::vector<IfaceId>& willing) const;
   std::vector<IfaceId> willing_in_shard(const std::vector<IfaceId>& willing,
                                         std::uint32_t shard) const;
@@ -262,28 +285,60 @@ class ControlPlane {
       const std::vector<IfaceId>& willing) const;
   static RtFlowSpec spec_of(const SnapshotClass& entry);
 
-  /// Interns `spec`'s class in latest_, (re)initializing its snapshot
-  /// entry if it is not currently live, and recomputing hosting shards.
-  /// Does not change member count and does not publish.
+  /// The writer's read-only view of class `cls`.
+  const SnapshotClass& entry_locked(ClassId cls) const { return *classes_[cls]; }
+  /// The writer's mutable view of class `cls`: the first edit after a
+  /// publish copies the entry and retires the published one, so published
+  /// entries never change.
+  SnapshotClass& edit_locked(ClassId cls);
+
+  /// Interns `spec`'s class, (re)initializing its entry if it is not
+  /// currently live, and recomputing hosting shards.  Does not change
+  /// member count and does not publish.
   ClassId intern_locked(const ClassSpec& spec);
 
   /// Bookkeeping after a membership change: live-list membership and
   /// quarantine state of one class.
   void refresh_liveness_locked(ClassId cls);
 
-  /// Directory write, paired with the live-flow gauge.
+  /// Members of `cls` in join order, from its member list.
+  std::vector<FlowId> members_locked(ClassId cls) const;
+
+  /// Directory write, paired with the live-flow gauge and the member lists.
   void dir_store(FlowId flow, ClassId cls);
   void dir_clear(FlowId flow);
+  void unlink_member(FlowId flow, ClassId cls);
 
   ShardApplier& applier_;
   std::vector<std::uint32_t> shard_of_iface_;
   std::size_t max_flows_;
   std::vector<bool> down_;  // guarded by mu_; empty until first set_iface_down
 
-  mutable std::mutex mu_;      // serializes writers; guards latest_ + table_
-  RuntimeSnapshot latest_;     // writer's working copy (source of truth)
+  // Writer state, guarded by mu_ (the source of truth the snapshots copy).
+  mutable std::mutex mu_;
+  std::uint64_t version_ = 0;
+  /// Class entries by ClassId, each shared with the published snapshot
+  /// unless edited since (edit_locked).  edited_in_[c] is the version
+  /// entry c was last copied for; version_ + 1 means not yet published.
+  std::vector<std::unique_ptr<SnapshotClass>> classes_;
+  std::vector<std::uint64_t> edited_in_;
+  /// Published entries replaced since the last publish.
+  std::vector<std::unique_ptr<SnapshotClass>> replaced_;
+  std::vector<ClassId> live_;  // live class ids, ascending
   ClassTable table_;           // ClassKey -> ClassId interning (global ids)
   FlowId next_flow_ = 0;
+  /// Per-class member lists in join order, intrusive over the flow arena
+  /// and kept equal to the directory by dir_store / dir_clear.
+  struct MemberLink {
+    FlowId prev = kInvalidFlow;
+    FlowId next = kInvalidFlow;
+  };
+  struct MemberList {
+    FlowId first = kInvalidFlow;
+    FlowId last = kInvalidFlow;
+  };
+  std::vector<MemberLink> links_;    // by FlowId, sized next_flow_
+  std::vector<MemberList> members_;  // by ClassId
   // flow -> class + 1; 0 = not registered.  Lock-free readers; writers
   // under mu_.  Sized max_flows once, so readers never race a reallocation.
   std::unique_ptr<std::atomic<std::uint32_t>[]> dir_;

@@ -172,7 +172,7 @@ void add_routes(telemetry::TelemetryServer& server, Runtime& runtime,
     w.field("flows", control->flow_count());
     w.field("version", guard->version).key("rows").begin_array();
     for (const ClassId id : guard->live) {
-      const SnapshotClass& c = guard->classes[id];
+      const SnapshotClass& c = *guard->classes[id];
       w.begin_object().field("id", id).field(
           "name", c.name.empty() ? "class" + std::to_string(id) : c.name);
       w.field("weight", c.weight).field("members", c.members);
@@ -460,7 +460,7 @@ RunReport run(const RunSpec& given) {
     auto reader = runtime.control().reader();
     const auto guard = reader.lock();
     for (const ClassId id : guard->live) {
-      const SnapshotClass& c = guard->classes[id];
+      const SnapshotClass& c = *guard->classes[id];
       slo->bind_class(id, c.name.empty() ? "class" + std::to_string(id)
                                          : c.name);
     }

@@ -592,14 +592,16 @@ void Runtime::shard_remove_flow(std::uint32_t shard_index, FlowId flow) {
   }
 }
 
-void Runtime::shard_set_weight(std::uint32_t shard_index, FlowId flow,
-                               double weight) {
+void Runtime::shard_set_weight(std::uint32_t shard_index,
+                               std::span<const FlowId> flows, double weight) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
-  const FlowId local = shard.local_of_flow[flow];
-  shard.weight_sum += weight - shard.weight_of_local[local];
-  shard.weight_of_local[local] = weight;
-  shard.sched->set_weight(local, weight);
+  for (const FlowId flow : flows) {
+    const FlowId local = shard.local_of_flow[flow];
+    shard.weight_sum += weight - shard.weight_of_local[local];
+    shard.weight_of_local[local] = weight;
+    shard.sched->set_weight(local, weight);
+  }
 }
 
 void Runtime::shard_set_willing(std::uint32_t shard_index, FlowId flow,
@@ -1589,7 +1591,7 @@ telemetry::FairnessSample Runtime::fairness_sample() {
     }
     out.flows.reserve(guard->live.size());
     for (const ClassId id : guard->live) {
-      const SnapshotClass& entry = guard->classes[id];
+      const SnapshotClass& entry = *guard->classes[id];
       telemetry::FairnessFlowSample fs;
       fs.id = id;
       fs.name = entry.name.empty() ? "class" + std::to_string(id) : entry.name;

@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -589,7 +590,7 @@ class Runtime final : public telemetry::FairnessSource,
   void shard_add_flow(std::uint32_t shard, FlowId flow, const RtFlowSpec& spec,
                       const std::vector<IfaceId>& willing_subset) override;
   void shard_remove_flow(std::uint32_t shard, FlowId flow) override;
-  void shard_set_weight(std::uint32_t shard, FlowId flow,
+  void shard_set_weight(std::uint32_t shard, std::span<const FlowId> flows,
                         double weight) override;
   void shard_set_willing(std::uint32_t shard, FlowId flow, IfaceId iface,
                          bool value) override;

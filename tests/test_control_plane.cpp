@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,24 +33,30 @@ class RecordingApplier : public ShardApplier {
     std::uint32_t shard;
     FlowId flow;
     std::vector<IfaceId> willing_subset;
+    double weight = 0.0;  ///< "add" and "weight" ops
   };
 
-  void shard_add_flow(std::uint32_t shard, FlowId flow, const RtFlowSpec&,
+  void shard_add_flow(std::uint32_t shard, FlowId flow, const RtFlowSpec& spec,
                       const std::vector<IfaceId>& willing_subset) override {
-    ops.push_back({"add", shard, flow, willing_subset});
+    ops.push_back({"add", shard, flow, willing_subset, spec.weight});
   }
   void shard_remove_flow(std::uint32_t shard, FlowId flow) override {
-    ops.push_back({"remove", shard, flow, {}});
+    ops.push_back({"remove", shard, flow, {}, 0.0});
   }
-  void shard_set_weight(std::uint32_t shard, FlowId flow, double) override {
-    ops.push_back({"weight", shard, flow, {}});
+  void shard_set_weight(std::uint32_t shard, std::span<const FlowId> flows,
+                        double weight) override {
+    ++weight_calls;
+    for (const FlowId flow : flows) {
+      ops.push_back({"weight", shard, flow, {}, weight});
+    }
   }
   void shard_set_willing(std::uint32_t shard, FlowId flow, IfaceId iface,
                          bool value) override {
-    ops.push_back({value ? "willing+" : "willing-", shard, flow, {iface}});
+    ops.push_back({value ? "willing+" : "willing-", shard, flow, {iface}, 0.0});
   }
 
   std::vector<Op> ops;
+  std::size_t weight_calls = 0;  ///< shard_set_weight calls (shard locks)
 };
 
 // Topology for most tests: 4 interfaces on 2 shards (0,1,0,1).
@@ -91,7 +102,8 @@ TEST(ControlPlane, AddAppliesBeforeDirectoryRemoveClearsDirectoryBefore) {
       EXPECT_EQ(cp->class_of(flow), kInvalidClass)
           << "flow still resolvable after the shard forgot it";
     }
-    void shard_set_weight(std::uint32_t, FlowId, double) override {}
+    void shard_set_weight(std::uint32_t, std::span<const FlowId>,
+                          double) override {}
     void shard_set_willing(std::uint32_t, FlowId, IfaceId, bool) override {}
     ControlPlane* cp = nullptr;
   };
@@ -216,6 +228,7 @@ TEST(ControlPlane, ReweightClassMovesEveryMemberInOnePublish) {
   EXPECT_NE(after, before);
   EXPECT_EQ(cp.version(), v + 1) << "one publish for the whole class";
   EXPECT_EQ(applier.ops.size(), 6u) << "3 members x 2 hosting shards";
+  EXPECT_EQ(applier.weight_calls, 2u) << "one shard lock per hosting shard";
   for (const auto& op : applier.ops) EXPECT_EQ(op.kind, "weight");
   for (FlowId f = first; f < first + 3; ++f) {
     EXPECT_EQ(cp.class_of(f), after);
@@ -476,16 +489,300 @@ TEST(ControlPlane, LiveFlowsScansTheDirectory) {
   EXPECT_EQ(cp.flow_count(), 2u);
 }
 
+// --- Seeded ControlDelta sequences against a from-scratch model ----------
+
+/// What the model knows about a flow: its class identity.
+struct ModelKey {
+  double weight = 1.0;
+  std::vector<IfaceId> willing;  ///< ascending
+  auto operator<=>(const ModelKey&) const = default;
+};
+
+/// One flow's registration in one shard, as the applier's ops left it.
+struct ShardEntry {
+  double weight = 0.0;
+  std::vector<IfaceId> willing;  ///< ascending
+  bool operator==(const ShardEntry&) const = default;
+};
+
+bool same_entry(const SnapshotClass& a, const SnapshotClass& b) {
+  return a.id == b.id && a.live == b.live && a.quarantined == b.quarantined &&
+         a.weight == b.weight && a.members == b.members &&
+         a.willing == b.willing && a.shards == b.shards && a.name == b.name &&
+         a.queue_capacity_bytes == b.queue_capacity_bytes;
+}
+
+class ControlDeltaModel {
+ public:
+  explicit ControlDeltaModel(std::vector<std::uint32_t> shard_of_iface)
+      : shard_of_iface_(std::move(shard_of_iface)),
+        down_(shard_of_iface_.size(), false) {}
+
+  std::map<FlowId, ModelKey> flows;
+
+  void set_down(IfaceId iface, bool down) { down_[iface] = down; }
+  bool down(IfaceId iface) const { return down_[iface]; }
+
+  std::vector<IfaceId> live_willing(const ModelKey& key) const {
+    std::vector<IfaceId> out;
+    for (const IfaceId j : key.willing) {
+      if (!down_[j]) out.push_back(j);
+    }
+    return out;
+  }
+
+  std::vector<std::uint32_t> shards(const ModelKey& key) const {
+    std::set<std::uint32_t> out;
+    for (const IfaceId j : live_willing(key)) out.insert(shard_of_iface_[j]);
+    return {out.begin(), out.end()};
+  }
+
+  /// Members grouped by class identity, rebuilt from the flow map.
+  std::map<ModelKey, std::vector<FlowId>> groups() const {
+    std::map<ModelKey, std::vector<FlowId>> out;
+    for (const auto& [flow, key] : flows) out[key].push_back(flow);
+    return out;
+  }
+
+  /// The shard-side registrations every live flow must have.
+  std::map<std::pair<std::uint32_t, FlowId>, ShardEntry> shard_state() const {
+    std::map<std::pair<std::uint32_t, FlowId>, ShardEntry> out;
+    for (const auto& [flow, key] : flows) {
+      for (const IfaceId j : live_willing(key)) {
+        ShardEntry& e = out[{shard_of_iface_[j], flow}];
+        e.weight = key.weight;
+        e.willing.push_back(j);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::uint32_t> shard_of_iface_;
+  std::vector<bool> down_;
+};
+
+/// Folds applier ops into the shard-side registrations they describe,
+/// failing on any op that addresses a registration in the wrong state.
+void fold_ops(const std::vector<RecordingApplier::Op>& ops, std::size_t from,
+              std::map<std::pair<std::uint32_t, FlowId>, ShardEntry>& state) {
+  for (std::size_t i = from; i < ops.size(); ++i) {
+    const RecordingApplier::Op& op = ops[i];
+    const auto key = std::make_pair(op.shard, op.flow);
+    if (op.kind == "add") {
+      ASSERT_EQ(state.count(key), 0u) << "double add of flow " << op.flow;
+      state[key] = ShardEntry{op.weight, op.willing_subset};
+      continue;
+    }
+    ASSERT_EQ(state.count(key), 1u)
+        << op.kind << " of flow " << op.flow << " unknown to shard "
+        << op.shard;
+    ShardEntry& e = state[key];
+    if (op.kind == "remove") {
+      state.erase(key);
+    } else if (op.kind == "weight") {
+      e.weight = op.weight;
+    } else {
+      const IfaceId j = op.willing_subset.at(0);
+      const auto at = std::lower_bound(e.willing.begin(), e.willing.end(), j);
+      const bool has = at != e.willing.end() && *at == j;
+      if (op.kind == "willing+" && !has) e.willing.insert(at, j);
+      if (op.kind == "willing-" && has) e.willing.erase(at);
+    }
+  }
+}
+
+TEST(ControlPlaneProperty, SeededDeltaSequencesMatchAFromScratchModel) {
+  // Random add_members / remove_member / move_member / reweight_class /
+  // set_iface_down sequences over a small key space (3 weights x 6 Pi
+  // rows), so classes merge, retire and revive often.  After every delta:
+  //   * the published snapshot equals the model rebuilt from scratch (live
+  //     list, per-class members / weight / willing / shards / quarantine,
+  //     class_of, ascending members_of);
+  //   * the applier's ops leave every shard holding exactly the model's
+  //     registrations (weights and willing subsets included);
+  //   * every class entry whose content the delta did not change is the
+  //     SAME object as in the previous snapshot (copy-on-write publishes
+  //     copy only edited entries), and every changed one is a new object
+  //     (edits never write through a published entry).
+  const std::vector<std::uint32_t> topology = {0, 1, 0, 1, 2};
+  const std::vector<std::vector<IfaceId>> rows = {
+      {0}, {1}, {0, 2}, {1, 3}, {0, 1, 4}, {0, 1, 2, 3, 4}};
+  const double weights[] = {1.0, 2.0, 3.0};
+  std::size_t merges = 0;
+  std::size_t revivals = 0;
+  std::size_t shared_checks = 0;
+
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    RecordingApplier applier;
+    ControlPlane cp(applier, topology, 1024);
+    ControlDeltaModel model(topology);
+    std::map<std::pair<std::uint32_t, FlowId>, ShardEntry> shards;
+    std::set<ModelKey> seen;  // keys that have had members
+    auto reader = cp.reader();
+
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      // The previous snapshot's entries and deep copies of their contents.
+      // A copied entry is allocated while its original is still alive, so
+      // within one delta a new address never equals the entry it replaces.
+      std::vector<const SnapshotClass*> before;
+      std::vector<SnapshotClass> before_values;
+      {
+        const auto guard = reader.lock();
+        before = guard->classes;
+        for (const auto& e : before) before_values.push_back(*e);
+      }
+      const auto groups_before = model.groups();
+      const std::size_t ops_before = applier.ops.size();
+      const std::size_t weight_calls_before = applier.weight_calls;
+      std::size_t expected_weight_calls = 0;
+
+      ModelKey key{weights[pick(3)], rows[pick(rows.size())]};
+      ClassSpec spec;
+      spec.weight = key.weight;
+      spec.willing = key.willing;
+      const std::size_t roll = pick(100);
+      std::vector<FlowId> live;
+      for (const auto& [f, k] : model.flows) live.push_back(f);
+
+      if (roll < 25 || live.empty()) {
+        const std::size_t count = 1 + pick(3);
+        if (cp.flow_count() + count > 1024) break;
+        const FlowId first = cp.add_members(spec, count);
+        for (std::size_t k = 0; k < count; ++k) {
+          model.flows[first + static_cast<FlowId>(k)] = key;
+        }
+      } else if (roll < 40) {
+        const FlowId f = live[pick(live.size())];
+        cp.remove_member(f);
+        model.flows.erase(f);
+      } else if (roll < 65) {
+        const FlowId f = live[pick(live.size())];
+        const ModelKey from = model.flows[f];
+        if (from != key && from.weight != key.weight) {
+          // One single-flow call per shard hosting both classes.
+          const std::vector<std::uint32_t> old_shards = model.shards(from);
+          for (const std::uint32_t sh : model.shards(key)) {
+            if (std::binary_search(old_shards.begin(), old_shards.end(), sh)) {
+              ++expected_weight_calls;
+            }
+          }
+        }
+        cp.move_member(f, spec);
+        model.flows[f] = key;
+      } else if (roll < 85) {
+        const FlowId anchor = live[pick(live.size())];
+        const ModelKey from = model.flows[anchor];
+        const ClassId cls = cp.class_of(anchor);
+        ModelKey to = from;
+        to.weight = key.weight;
+        if (to != from) {
+          if (groups_before.count(to) != 0) ++merges;
+          expected_weight_calls = model.shards(from).size();
+        }
+        cp.reweight_class(cls, key.weight);
+        for (auto& [f, k] : model.flows) {
+          if (k == from) k = to;
+        }
+      } else {
+        const IfaceId j = static_cast<IfaceId>(pick(topology.size()));
+        const bool down = pick(2) == 0;
+        cp.set_iface_down(j, down);
+        model.set_down(j, down);
+      }
+      EXPECT_EQ(applier.weight_calls - weight_calls_before,
+                expected_weight_calls)
+          << "a delta takes each shard's lock once for its weight changes";
+
+      // Model rebuilt from scratch vs the published snapshot.
+      const auto groups = model.groups();
+      for (const auto& [k, members] : groups) {
+        if (groups_before.count(k) == 0 && seen.count(k) != 0) ++revivals;
+        seen.insert(k);
+      }
+      const auto guard = reader.lock();
+      EXPECT_EQ(guard->version, cp.version());
+      EXPECT_EQ(cp.flow_count(), model.flows.size());
+      EXPECT_EQ(cp.class_count(), groups.size());
+      std::vector<ClassId> live_ids;
+      std::size_t quarantined = 0;
+      for (const auto& [k, members] : groups) {
+        const ClassId cid = cp.class_of(members.front());
+        live_ids.push_back(cid);
+        for (const FlowId f : members) EXPECT_EQ(cp.class_of(f), cid);
+        EXPECT_EQ(cp.members_of(cid), members) << "ascending member list";
+        const SnapshotClass* entry = guard->cls(cid);
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(entry->id, cid);
+        EXPECT_EQ(entry->members, members.size());
+        EXPECT_EQ(entry->weight, k.weight);
+        EXPECT_EQ(entry->willing, k.willing);
+        EXPECT_EQ(entry->shards, model.shards(k));
+        EXPECT_EQ(entry->quarantined, model.shards(k).empty());
+        if (entry->quarantined) quarantined += members.size();
+      }
+      std::sort(live_ids.begin(), live_ids.end());
+      EXPECT_EQ(guard->live, live_ids) << "one live class per model group";
+      EXPECT_EQ(cp.quarantined_count(), quarantined);
+      for (FlowId f = 0; f < 1024; ++f) {
+        if (model.flows.count(f) == 0) {
+          EXPECT_EQ(cp.class_of(f), kInvalidClass);
+        }
+      }
+      for (std::size_t c = 0; c < guard->classes.size(); ++c) {
+        ASSERT_NE(guard->classes[c], nullptr) << "class " << c;
+        if (!std::binary_search(live_ids.begin(), live_ids.end(), c)) {
+          EXPECT_FALSE(guard->classes[c]->live) << "class " << c;
+          EXPECT_EQ(cp.members_of(static_cast<ClassId>(c)),
+                    std::vector<FlowId>{});
+        }
+      }
+
+      // Shard-side registrations.
+      fold_ops(applier.ops, ops_before, shards);
+      EXPECT_EQ(shards, model.shard_state());
+
+      // Copy-on-write: an entry whose content the delta left alone is the
+      // same object; a changed one is a new object (an in-place write to a
+      // published entry would show as changed content at the old address).
+      for (std::size_t c = 0; c < before.size(); ++c) {
+        if (same_entry(*guard->classes[c], before_values[c])) {
+          ++shared_checks;
+          EXPECT_EQ(guard->classes[c], before[c])
+              << "class " << c << " was copied although the delta left it";
+        } else {
+          EXPECT_NE(guard->classes[c], before[c])
+              << "published entry of class " << c << " was written in place";
+        }
+      }
+      if (::testing::Test::HasFailure()) return;  // first failure is enough
+    }
+  }
+  EXPECT_GT(merges, 0u) << "the sequences must exercise reweight merges";
+  EXPECT_GT(revivals, 0u) << "the sequences must exercise class revivals";
+  EXPECT_GT(shared_checks, 1000u);
+}
+
 TEST(ControlPlaneSwap, ReadersNeverSeeATornConfiguration) {
   // The writer cycles one flow (1, {0}) -> (2, {0}) -> (2, {0, 1}) ->
   // (2, {0}) -> (1, {0}), one control-plane call per step; each step moves
-  // the flow between interned classes.  Every PUBLISHED snapshot therefore
-  // contains exactly one populated class, and its (weight, willing) pair is
-  // one of the three published states -- the state (1, {0, 1}) never
-  // exists.  Reader threads continuously validate whichever snapshot they
-  // hold; seeing the never-published mix, a live class without members, or
-  // more than one populated class means a torn read.  Under TSan this
-  // doubles as the data-race check on the RCU cell.
+  // the flow between interned classes.  Even rounds drive the flow-level
+  // veneer (set_weight / set_willing), odd rounds the class deltas
+  // (reweight_class / move_member).  Every PUBLISHED snapshot therefore
+  // contains exactly one populated class, and its (weight, willing,
+  // shards) triple is one of the three published states -- the state
+  // (1, {0, 1}) never exists.  Reader threads continuously validate
+  // whichever snapshot they hold, dereferencing every class entry (shared
+  // between snapshots, and copied on write by each delta); seeing the
+  // never-published mix, a live class without members, or more than one
+  // populated class means a torn read.  Under TSan this doubles as the
+  // data-race check on the RCU cell and on the shared entries' lifetime.
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 4);
   RtFlowSpec spec;
@@ -501,36 +798,55 @@ TEST(ControlPlaneSwap, ReadersNeverSeeATornConfiguration) {
       auto reader = cp.reader();
       while (!stop.load(std::memory_order_acquire)) {
         const auto guard = reader.lock();
-        if (guard->live.size() != 1) {
+        std::size_t live_entries = 0;
+        for (const auto& entry : guard->classes) live_entries += entry->live;
+        if (guard->live.size() != 1 || live_entries != 1) {
           ++torn;  // exactly one class holds the flow in every published state
           continue;
         }
-        const SnapshotClass& entry = guard->classes[guard->live[0]];
+        const SnapshotClass& entry = *guard->classes[guard->live[0]];
         if (!entry.live || entry.members != 1) {
           ++torn;
           continue;
         }
         const bool narrow =  // willing {0}: weight may be mid-cycle 1 or 2
             entry.willing == std::vector<IfaceId>{0} &&
+            entry.shards == std::vector<std::uint32_t>{0} &&
             (entry.weight == 1.0 || entry.weight == 2.0);
         const bool wide =    // willing {0, 1} only ever published with 2
             entry.weight == 2.0 &&
-            entry.willing == (std::vector<IfaceId>{0, 1});
+            entry.willing == (std::vector<IfaceId>{0, 1}) &&
+            entry.shards == (std::vector<std::uint32_t>{0, 1});
         if (!(narrow || wide)) ++torn;
       }
     });
   }
 
+  RtFlowSpec narrow_light = spec;
+  RtFlowSpec wide_heavy = spec;
+  wide_heavy.weight = 2.0;
+  wide_heavy.willing = {0, 1};
+  RtFlowSpec narrow_heavy = spec;
+  narrow_heavy.weight = 2.0;
   for (int i = 0; i < 100; ++i) {
-    cp.set_weight(f, 2.0);
-    cp.set_willing(f, 1, true);   // now (2.0, {0, 1})
-    cp.set_willing(f, 1, false);
-    cp.set_weight(f, 1.0);        // back to (1.0, {0})
+    if (i % 2 == 0) {
+      cp.set_weight(f, 2.0);
+      cp.set_willing(f, 1, true);   // now (2.0, {0, 1})
+      cp.set_willing(f, 1, false);
+      cp.set_weight(f, 1.0);        // back to (1.0, {0})
+    } else {
+      cp.reweight_class(cp.class_of(f), 2.0);
+      cp.move_member(f, wide_heavy);
+      cp.move_member(f, narrow_heavy);
+      cp.reweight_class(cp.class_of(f), 1.0);
+    }
     std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(cp.class_of(f), cp.class_of(cp.add_flow(narrow_light)))
+      << "the cycle ends where it started";
 }
 
 TEST(ControlPlaneSwap, TornWindowExistsMidUpdate) {

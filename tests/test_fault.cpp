@@ -694,6 +694,37 @@ TEST(Supervisor, TokenMotionRevivesADeadLink) {
   EXPECT_EQ(rt.down_calls.back(), (std::pair<IfaceId, bool>{0, false}));
 }
 
+TEST(Supervisor, ActuatesTheControlPlaneBeforePublishingTheVerdict) {
+  // Whoever reads kDead (or a revival's kHealthy) through link_state() must
+  // find set_iface_down already applied, so the verdict may only be
+  // published after the actuation: inside set_iface_down the supervisor
+  // must still report the previous state.
+  class OrderingRuntime : public MockRuntime {
+   public:
+    void set_iface_down(IfaceId iface, bool down) override {
+      ASSERT_NE(sup, nullptr);
+      EXPECT_EQ(sup->link_state(iface),
+                down ? LinkState::kSuspect : LinkState::kDead)
+          << "verdict published before the interface was "
+          << (down ? "killed" : "revived");
+      MockRuntime::set_iface_down(iface, down);
+    }
+    const Supervisor* sup = nullptr;
+  };
+  OrderingRuntime rt;
+  rt.links.push_back({.name = "wifi", .backlog = 10'000});
+  rt.heartbeats = {0};
+  Supervisor sup(rt, fast_options());
+  rt.sup = &sup;
+  sup.probe();
+  for (int i = 0; i < 3; ++i) tick(rt, sup);
+  ASSERT_EQ(sup.link_state(0), LinkState::kDead);
+  rt.links[0].tokens = 2000.0;
+  for (int i = 0; i < 2; ++i) tick(rt, sup);
+  EXPECT_EQ(sup.link_state(0), LinkState::kHealthy);
+  ASSERT_EQ(rt.down_calls.size(), 2u);
+}
+
 TEST(Supervisor, FlappingTokensDoNotRevive) {
   MockRuntime rt;
   rt.links.push_back({.name = "wifi", .backlog = 10'000});
