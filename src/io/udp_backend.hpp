@@ -79,8 +79,8 @@ struct UdpBackendOptions {
   std::string default_host = "127.0.0.1";
   std::uint16_t base_port = 0;
   /// Datagrams per sendmmsg call (a GSO run counts each of its
-  /// datagrams); a burst larger than this is flushed in chunks.  The
-  /// bench sweeps 1/32/256.
+  /// datagrams); a burst larger than this is flushed in chunks
+  /// (`midrr_rt --udp-batch`).
   std::size_t max_batch = 64;
   /// Frame bytes copied into each datagram after the header (truncating;
   /// 0 = header-only datagrams).  A packet whose CAPPED payload would

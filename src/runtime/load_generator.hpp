@@ -9,7 +9,7 @@
 // coordination with the generator.
 //
 // Payloads: by default packets are pure (flow, size) records -- the
-// scheduler never looks at bytes, so the throughput bench defaults to the
+// scheduler never looks at bytes, so the generator defaults to the
 // cheapest representation.  `payload` switches on real wire-frame
 // attachments, either heap-allocated per packet (kHeap: the baseline the
 // pool is measured against) or drawn from a per-producer net::FramePool

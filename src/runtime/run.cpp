@@ -15,6 +15,7 @@
 #include "fault/injector.hpp"
 #include "fault/recorder.hpp"
 #include "fault/supervisor.hpp"
+#include "io/uring_backend.hpp"
 #include "io/wire.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/chrome_trace.hpp"
@@ -415,7 +416,7 @@ RunReport run(const RunSpec& given) {
           "io_uring egress backend not built: reconfigure with "
           "-DMIDRR_WITH_URING=ON");
     }
-    io::UringBackendOptions uopts = spec.uring;
+    io::UringBackendOptions uopts;
     uopts.dest_by_name = udp.dest_by_name;
     uopts.default_host = udp.default_host;
     uopts.base_port = udp.base_port;
@@ -523,7 +524,6 @@ RunReport run(const RunSpec& given) {
   load.packet_bytes = spec.packet_bytes;
   load.payload = spec.payload;
   load.rate_pps = spec.load_pps;
-  load.pool = spec.pool;
   if (uring != nullptr && pooled) {
     // Zero-copy prerequisites: headroom so the wire header prepends in
     // place, and a frozen slab directory so every slab can be registered
@@ -533,7 +533,7 @@ RunReport run(const RunSpec& given) {
   }
   LoadGenerator generator(runtime, load);
   if (telemetry_on) generator.register_pool_metrics(registry);
-  if (uring != nullptr && spec.uring.zerocopy) {
+  if (uring != nullptr) {
     for (std::size_t p = 0; p < spec.producers; ++p) {
       if (const net::FramePool* fp = generator.frame_pool(p)) {
         uring->register_frame_pool(*fp);

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "io/udp_backend.hpp"
-#include "io/uring_backend.hpp"
 #include "runtime/load_generator.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/stage_latency.hpp"
@@ -47,8 +46,6 @@ struct RunSpec {
   std::uint32_t packet_bytes = 1000;
   LoadGeneratorOptions::PayloadMode payload =
       LoadGeneratorOptions::PayloadMode::kNone;
-  /// Geometry of each producer's frame pool (payload == kPooled).
-  PacketPoolOptions pool{};
   std::size_t fanin_batch = 0;    ///< 0 = RuntimeOptions default
   std::uint64_t burst_bytes = 0;  ///< 0 = RuntimeOptions default
   Policy policy = Policy::kMiDrr;
@@ -69,12 +66,10 @@ struct RunSpec {
   // --- Egress -----------------------------------------------------------
   std::string egress = "sim";  ///< sim|udp|uring|auto
   /// Destinations, batch and payload cap.  The destinations and the
-  /// payload cap apply to the uring backend too; with no destination at
-  /// all, interface j sends to 127.0.0.1:19000+j (midrr_rx's default).
+  /// payload cap apply to the uring backend too, which otherwise runs with
+  /// its default ring; with no destination at all, interface j sends to
+  /// 127.0.0.1:19000+j (midrr_rx's default).
   io::UdpBackendOptions udp{};
-  /// Ring knobs only (its destination and payload fields are taken from
-  /// `udp`).
-  io::UringBackendOptions uring{};
 
   // --- Observability ----------------------------------------------------
   /// Trace every Nth packet per flow (0 = off, at most 2^32 - 1).  A

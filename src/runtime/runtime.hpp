@@ -24,7 +24,7 @@
 // ACROSS shards is deliberately absent, trading global max-min optimality
 // for linear scalability.  `shards = 1` (the default) preserves the
 // paper's semantics exactly while still using W workers; `shards = W` is
-// the fully sharded configuration the throughput bench sweeps.
+// the fully sharded configuration (perfbench's udp_egress runs it).
 //
 // Locking order (strict): shard mutex is a leaf -- nothing else is
 // acquired under it.  Control-plane writers take ControlPlane::mu_, then
@@ -79,9 +79,9 @@ struct RuntimeOptions {
   /// Max packets pulled from ONE ingress ring per fan-in pass; bounds the
   /// shard-lock hold time of the fan-in stage (and sizes the batch handed
   /// to Scheduler::enqueue_batch).  Larger batches amortize the lock and
-  /// the producer/worker wake handshake; the throughput bench sweeps this
-  /// (1024 won on the reference host).  Must stay <= ring_capacity to be
-  /// effective -- pulls are clamped by ring occupancy either way.
+  /// the producer/worker wake handshake (`midrr_rt --fanin-batch`).  Must
+  /// stay <= ring_capacity to be effective -- pulls are clamped by ring
+  /// occupancy either way.
   std::size_t fanin_batch = 1024;
   std::uint64_t burst_bytes = 64 * 1024;   ///< max bytes per dequeue_burst
   std::uint64_t pacer_depth_bytes = 0;     ///< 0 = auto from peak rate

@@ -42,7 +42,8 @@
 // Sampling is deterministic 1-in-N per flow per lane: lane-local per-flow
 // offer counters, sample when count % N == 0.  N == 1 traces everything
 // (tests); the runtime default is 64, budgeted at <= 5% pps overhead
-// (measured by bench/rt_throughput's latency_attribution cells).
+// (measured by perfbench's per-layer runtime.trace_overhead; no gate
+// bounds it yet).
 #pragma once
 
 #include <atomic>

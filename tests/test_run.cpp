@@ -1,7 +1,7 @@
-// rt::run(), the one wall-clock run path behind midrr_rt and the
-// throughput bench: a small supervised, traced, pooled run in-process must
-// close the conservation identities and the pool books, and its JSON
-// report must carry every key the CI gates read.
+// rt::run(), the one wall-clock run path behind midrr_rt: a small
+// supervised, traced, pooled run in-process must close the conservation
+// identities and the pool books, its JSON report must carry every key the
+// CI gates read, and a declared SLO must burn under sustained overload.
 #include "runtime/run.hpp"
 
 #include <gtest/gtest.h>
@@ -125,6 +125,31 @@ TEST(Run, UringReportCarriesTheLoopbackGateKeys) {
         "egress/uring/registered_buffers", "egress/uring/fixed_sends"}) {
     EXPECT_NE(at(doc, path), nullptr) << path;
   }
+}
+
+// One interface paced at 200 Mb/s and offered twice that in 1000-byte
+// packets: ~20 ms of queue residence against a 5 ms p99 objective must
+// burn the error budget faster than allowed on both windows.  The 8 equal
+// flows intern into one class, named after its first member.
+TEST(Run, SloBurnsAboveOneUnderTwoXOverload) {
+  RunSpec spec;
+  spec.flows = 8;
+  spec.ifaces = 1;
+  spec.rate_bps = 200e6;
+  spec.load_pps = 50000;
+  spec.duration_s = 1.0;
+  spec.slo = {"class=f0:p99_ms=5"};
+  const RunReport r = run(spec);
+  EXPECT_EQ(r.classes, 1u);
+  const JsonValue doc = JsonValue::parse(r.slo_json);
+  const JsonValue* slos = at(doc, "slos");
+  ASSERT_NE(slos, nullptr);
+  ASSERT_EQ(slos->as_array().size(), 1u);
+  const JsonValue& row = slos->as_array().at(0);
+  EXPECT_EQ(row.find("class")->as_string(), "f0");
+  EXPECT_GT(row.find("samples")->as_number(), 0.0);  // the objective bound
+  EXPECT_GT(row.find("burn_short")->as_number(), 1.0);
+  EXPECT_GT(row.find("burn_long")->as_number(), 1.0);
 }
 
 TEST(Run, InvalidSpecsThrowNamingTheFlag) {

@@ -26,8 +26,9 @@ int usage() {
   std::cerr
       << "usage: midrr_rt [options]\n"
          "  --flows N       flows, willing on 2 interfaces each (default 64)\n"
-         "  --flows-per-class N  register flows in batches of N sharing one\n"
-         "                  flow class (one Pi row, one weight; default 1).\n"
+         "  --flows-per-class N  register flows in batches of N with one Pi\n"
+         "                  row and weight (default 1); batches with equal\n"
+         "                  rows share a class, so at most --ifaces classes.\n"
          "                  Pair with --policy hmidrr for two-level DRR\n"
          "  --ifaces N      interfaces (default 4)\n"
          "  --workers N     worker threads (default 1)\n"
