@@ -1,23 +1,21 @@
 // rt_scale: the control plane's class-scale cell, behind ci/gates.py scale.
 //
-//   rt_scale [--duration S] [--out FILE]
+//   rt_scale [--out FILE]
 //
 // Registers 1000 classes at 10k and at 1M flows, then records per cell the
 // registration time, the marginal resident bytes per flow, the p50 latency
 // of a one-member publish against the loaded table, and the packets a
-// short hierarchical-miDRR run dequeues (`--duration` seconds, capped at
-// 2).  Flows register in classes (one ClassSpec, one publish per batch), so
-// the snapshot the control plane publishes is O(classes), not O(flows): at
-// equal class counts the two cells' publish latencies must come out about
-// equal, and `scale_publish_ratio` (1M / 10k) is the number the gate
-// bounds.  RSS is read from /proc/self/statm around registration, so
+// one-second hierarchical-miDRR run dequeues.  Flows register in classes
+// (one ClassSpec, one publish per batch), so the snapshot the control
+// plane publishes is O(classes), not O(flows): at equal class counts the
+// two cells' publish latencies must come out about equal, and
+// `scale_publish_ratio` (1M / 10k) is the number the gate bounds.  RSS is read from /proc/self/statm around registration, so
 // rss_bytes_per_flow is what a registered flow adds (directory slot,
 // queue, class membership), not the process baseline.
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -58,8 +56,7 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
-                         double duration_s) {
+ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class) {
   constexpr std::size_t kIfaces = 4;
   RuntimeOptions options;
   options.workers = 1;
@@ -120,7 +117,7 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
   LoadGenerator generator(runtime, load);
   const auto t0 = Clock::now();
   generator.start();
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
+  std::this_thread::sleep_for(std::chrono::seconds(1));
   generator.stop();
   runtime.stop();
   cell.duration_s = seconds_since(t0);
@@ -132,22 +129,14 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double duration_s = 1.0;
   std::string out_path = "scale.json";
-  const auto usage = [] {
-    std::cerr << "usage: rt_scale [--duration S (> 0)] [--out FILE]\n";
-    return 2;
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
-    if (key == "--duration" && i + 1 < argc) {
-      char* end = nullptr;
-      duration_s = std::strtod(argv[++i], &end);
-      if (*end != '\0' || !(duration_s > 0)) return usage();
-    } else if (key == "--out" && i + 1 < argc) {
+    if (key == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      return usage();
+      std::cerr << "usage: rt_scale [--out FILE]\n";
+      return 2;
     }
   }
 
@@ -158,8 +147,7 @@ int main(int argc, char** argv) {
                                                         {1'000'000, 1'000}}) {
     std::cerr << "rt_scale: " << flows << " flows / " << per_class
               << " per class..." << std::flush;
-    cells.push_back(
-        run_scale_cell(flows, per_class, std::min(duration_s, 2.0)));
+    cells.push_back(run_scale_cell(flows, per_class));
     const ScaleCell& c = cells.back();
     std::cerr << " " << c.classes << " classes, register " << c.register_s
               << " s, publish p50 " << c.publish_p50_ns / 1e3

@@ -348,8 +348,7 @@ def scale(b):
     publish latency must not scale with flow count (the 1M/10k ratio is
     the O(classes)-snapshot claim; generous bound for noisy hosts).  The
     bounds hold only without sanitizer instrumentation."""
-    run([b / "bench/rt_scale", "--duration", "1", "--out", "scale.json"],
-        "rt_scale.log")
+    run([b / "bench/rt_scale", "--out", "scale.json"], "rt_scale.log")
     r = load("scale.json")
     cells = {c["flows"]: c for c in r["scale_sweep"]}
     small, large = cells[10_000], cells[1_000_000]
